@@ -63,9 +63,15 @@ class SpeedProbe:
 
     def scale(self, start: int, end: int, fallback: tuple[int, int] = None) -> float:
         """Mean of REFERENCE_NS / reading over samples[start:end], or over
-        the fallback range when that holds fewer than MIN_SAMPLES readings."""
+        the fallback range when that holds fewer than MIN_SAMPLES readings.
+        Readings under a quarter of the range's median are left out."""
         if end - start < MIN_SAMPLES and fallback is not None:
             start, end = fallback
-        if end <= start:
+        window = self.samples[start:end]
+        if not window:
             raise RuntimeError("no speed probe readings in the interval")
-        return statistics.fmean(REFERENCE_NS / r for r in self.samples[start:end])
+        # The thread CPU clock now and then returns the same value on both
+        # sides of the loop.  A reading under a quarter of the median is no
+        # real speed, and 1/reading would swamp the mean, so drop it.
+        floor = statistics.median(window) / 4
+        return statistics.fmean(REFERENCE_NS / r for r in window if r > floor)

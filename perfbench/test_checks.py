@@ -21,6 +21,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from checks import CheckFailure, check_command  # noqa: E402
 from run import _failed, _run_command  # noqa: E402
+from speed import REFERENCE_NS, SpeedProbe  # noqa: E402
 from workloads import make_plan, materialise  # noqa: E402
 
 from ccmagma import cli  # noqa: E402
@@ -145,3 +146,10 @@ def test_wrong_exit_status_is_rejected(sweep):
     cmd, code, rep = _first(runs, "defect-check")
     with pytest.raises(CheckFailure):
         check_command(cmd, 0, json.dumps(rep), ctx)
+
+
+def test_speed_scale_drops_impossible_readings():
+    probe = SpeedProbe()
+    probe.samples = [REFERENCE_NS, 0, 2 * REFERENCE_NS, 1, REFERENCE_NS]
+    assert probe.scale(0, 5) == pytest.approx((1 + 0.5 + 1) / 3)
+    assert probe.scale(1, 2, fallback=(0, 5)) == pytest.approx((1 + 0.5 + 1) / 3)
