@@ -367,12 +367,6 @@ class TanhSumFamily:
         return tuple(x for x in (Fraction(0), Fraction(1), Fraction(-1))
                      if self.domain.contains(x))
 
-    def expansive_total(self, e):
-        raise NotImplementedError("no catalog entry designates a unit here")
-
-    symmetric_total = expansive_total
-    monoid_total = expansive_total
-
 
 def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
@@ -397,15 +391,6 @@ class CubeRootFamily:
             return "all"
         return (0.0,) if self.domain.contains(0.0) else ()
 
-    def expansive_total(self, e):
-        return None     # float mode: witness-based verdicts only
-
-    def symmetric_total(self, e):
-        return None
-
-    def monoid_total(self, e):
-        return None
-
 
 @dataclass(frozen=True)
 class GeometricFamily:
@@ -421,15 +406,6 @@ class GeometricFamily:
 
     def idempotent_elements(self):
         return "all"
-
-    def expansive_total(self, e):
-        return None
-
-    def symmetric_total(self, e):
-        return None
-
-    def monoid_total(self, e):
-        return None
 
 
 @dataclass(frozen=True)
@@ -450,15 +426,6 @@ class LogSumExpFamily:
 
     def idempotent_elements(self):
         return ()
-
-    def expansive_total(self, e):
-        return None
-
-    def symmetric_total(self, e):
-        return None
-
-    def monoid_total(self, e):
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +800,7 @@ def classify_family(fam: ParametricFamily,
         raise ValueError(f"{fam.id} has no designated unit")
     e = fam.unit
     pts = list(samples) if samples is not None else default_samples(fam)
-    exact = fam.mode == "exact"
+    exact = fam.mode == "exact"     # only exact shapes define *_total deciders
 
     expansive, ev_exp = _flag_with_evidence(
         fam, "expansive", fam.shape.expansive_total(e) if exact else None,

@@ -12,7 +12,9 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .catalog import (CATALOG, classify_family, default_samples,
@@ -23,7 +25,7 @@ from .core import (FiniteMagma, ParseError, check_axioms, format_magma,
 from .generation import (extract_group, generate_quasigroup,
                          idempotent_parity_audit, invariant_factors)
 from .relations import format_relation, subalgebra_relation, transitivity_criterion
-from .structures import NotIdempotentError, classify_finite, internal_group
+from .structures import NotIdempotentError, classify_finite
 
 SCHEMA = "ccmagma.report/1"
 
@@ -56,6 +58,20 @@ def _load(path: str) -> tuple[FiniteMagma, dict]:
     return magma, {"path": path, "sha256": _digest(data)}
 
 
+def _load_ccm(args, started: float) -> tuple[Optional[FiniteMagma], dict]:
+    """Load args.path and check the axioms; when they fail, emit the
+    not-a-ccm-magma report and return None for the magma."""
+    magma, source = _load(args.path)
+    rep = check_axioms(magma)
+    if rep.is_ccm:
+        return magma, source
+    report = _report(args.command, input=source, order=magma.order,
+                     error={"kind": "not-a-ccm-magma", "axioms": rep.to_dict()})
+    _emit(report, [f"{args.command} {args.path}: input fails the axioms"],
+          args, started)
+    return None, source
+
+
 def _cmd_check(args) -> int:
     started = time.perf_counter()
     magma, source = _load(args.path)
@@ -75,13 +91,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     started = time.perf_counter()
-    magma, source = _load(args.path)
-    rep = check_axioms(magma)
-    if not rep.is_ccm:
-        report = _report("classify", input=source, order=magma.order,
-                         error={"kind": "not-a-ccm-magma", "axioms": rep.to_dict()})
-        _emit(report, [f"classify {args.path}: input fails the axioms"],
-              args, started)
+    magma, source = _load_ccm(args, started)
+    if magma is None:
         return EXIT_VIOLATION
     e = args.unit
     if not 0 <= e < magma.order:
@@ -102,10 +113,10 @@ def _cmd_classify(args) -> int:
         "group": label.group,
         "label": label.label,
     }
-    grp = internal_group(magma, e)
-    if grp is not None:
+    if label.group:
+        # at an idempotent unit the extracted group is the internal monoid
         results["group_invariant_factors"] = invariant_factors(
-            grp.monoid.as_magma())
+            extract_group(magma, e))
     report = _report("classify", input=source, order=magma.order, results=results)
     _emit(report, [f"classify {args.path} at unit {e}: label {label.label}"],
           args, started)
@@ -141,12 +152,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_extract_group(args) -> int:
     started = time.perf_counter()
-    magma, source = _load(args.path)
-    rep = check_axioms(magma)
-    if not rep.is_ccm:
-        report = _report("extract-group", input=source, order=magma.order,
-                         error={"kind": "not-a-ccm-magma", "axioms": rep.to_dict()})
-        _emit(report, ["extract-group: input fails the axioms"], args, started)
+    magma, source = _load_ccm(args, started)
+    if magma is None:
         return EXIT_VIOLATION
     e = args.unit
     if not 0 <= e < magma.order:
@@ -178,12 +185,8 @@ def _cmd_extract_group(args) -> int:
 
 def _cmd_relation(args) -> int:
     started = time.perf_counter()
-    magma, source = _load(args.path)
-    rep = check_axioms(magma)
-    if not rep.is_ccm:
-        report = _report("relation", input=source, order=magma.order,
-                         error={"kind": "not-a-ccm-magma", "axioms": rep.to_dict()})
-        _emit(report, ["relation: input fails the axioms"], args, started)
+    magma, source = _load_ccm(args, started)
+    if magma is None:
         return EXIT_VIOLATION
     try:
         seed = sorted({int(p) for p in args.subalgebra.split(",") if p.strip()})
@@ -211,7 +214,7 @@ def _cmd_relation(args) -> int:
     symmetric, _ = rel.is_symmetric()
     transitive, _ = rel.is_transitive()
     difunctional, _ = rel.is_difunctional()
-    congruence, _ = rel.is_congruence()
+    congruence = internal and reflexive and symmetric and transitive
     results = {
         "subalgebra": list(seed),
         "unit": e,
@@ -250,13 +253,18 @@ def _cmd_catalog(args) -> int:
             print(f"  {known}", file=sys.stderr)
         return EXIT_USAGE
     samples = default_samples(fam, args.samples)
-    sample_report = sampled_axiom_check(fam, samples)
+    # classify once and fill the sample report's label fields from that verdict
+    sample_report = sampled_axiom_check(fam, samples, classify_too=False)
+    verdict = classify_family(fam, samples) if fam.unit is not None else None
+    if verdict is not None:
+        sample_report = replace(sample_report, classification=verdict.label.label,
+                                expected=verdict.expected,
+                                matches_expected=verdict.matches_expected)
     results = sample_report.to_dict()
     results["formula"] = fam.formula
     results["domain"] = str(fam.domain)
     results["mode"] = fam.mode
-    if fam.unit is not None:
-        verdict = classify_family(fam, samples)
+    if verdict is not None:
         results["classification_detail"] = verdict.to_dict()
     if fam.id == "harmonic-(0,1]":
         results["star_formula_ok"] = monoid_formula_check()

@@ -147,11 +147,36 @@ class AxiomReport:
 
 
 def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
-    # np.argwhere scans in C order, so row 0 is the lexicographic minimum
-    hits = np.argwhere(mask)
-    if hits.size == 0:
+    # argmax stops at the first True in C order, the lexicographic minimum,
+    # without materialising the other hits
+    i = int(mask.argmax(axis=None))
+    if not mask.flat[i]:
         return None
-    return tuple(int(v) for v in hits[0])
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
+
+
+def _column_inverse(t: np.ndarray, e: int) -> np.ndarray:
+    """inv[a] = the smallest x with x op e = a, or -1 when there is none.
+
+    Every division by column e (doubling, negation, the star
+    star(x, y) = inv[x op y], group extraction) is a lookup in this array.
+    """
+    values, first = np.unique(t[:, e], return_index=True)
+    inv = np.full(len(t), -1, dtype=np.intp)
+    inv[values] = first
+    return inv
+
+
+def _associativity_violation(t: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """Smallest (a, b, c) with (a op b) op c != a op (b op c), or None."""
+    return _first(t[t] != t[:, t])
+
+
+def _is_commutative_monoid(star: np.ndarray, e: int) -> bool:
+    """Unit e, commutative and associative."""
+    return (np.array_equal(star[e], np.arange(len(star)))
+            and np.array_equal(star, star.T)
+            and _associativity_violation(star) is None)
 
 
 def check_axioms(m: FiniteMagma) -> AxiomReport:
@@ -162,7 +187,6 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
     """
     t = m.arr
     n = m.order
-    idx = np.arange(n)
 
     comm_ce = _first(t != t.T)
 
@@ -182,9 +206,7 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
             medial_ce = (a, *hit)
             break
 
-    assoc_lhs = t[t]                                      # [a,b,c] = (a+b)+c
-    assoc_rhs = t[idx[:, None, None], t[None, :, :]]      # [a,b,c] = a+(b+c)
-    assoc_ce = _first(assoc_lhs != assoc_rhs)
+    assoc_ce = _associativity_violation(t)
 
     return AxiomReport(
         commutative=comm_ce is None,

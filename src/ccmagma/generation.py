@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
-from .core import FiniteMagma, magma_from_function
+from .core import (FiniteMagma, _column_inverse, _is_commutative_monoid,
+                   magma_from_function)
 
 
 @dataclass(frozen=True)
@@ -205,14 +204,10 @@ def extract_group(m: FiniteMagma, e: int) -> Optional[FiniteMagma]:
     k op e = i op j.  On a valid table the result is an abelian group with
     identity e for any e; that is verified, not assumed.
     """
-    n = m.order
-    col = [m.table[x][e] for x in m.elements()]
-    if len(set(col)) != n:
+    inv = _column_inverse(m.arr, e)
+    if (inv < 0).any():
         raise ValueError(f"column {e} is not injective: table is not cancellative")
-    inv_col = [0] * n
-    for x, v in enumerate(col):
-        inv_col[v] = x
-    star = magma_from_function(n, lambda i, j: inv_col[m.table[i][j]])
+    star = FiniteMagma(inv[m.arr].tolist())
     if not _is_abelian_group(star, e):
         return None
     return star
@@ -220,15 +215,7 @@ def extract_group(m: FiniteMagma, e: int) -> Optional[FiniteMagma]:
 
 def _is_abelian_group(star: FiniteMagma, e: int) -> bool:
     t = star.arr
-    n = star.order
-    idx = np.arange(n)
-    if not np.array_equal(t[e], idx):
-        return False
-    if not np.array_equal(t, t.T):
-        return False
-    if not np.array_equal(t[t], t[idx[:, None, None], t[None, :, :]]):
-        return False
-    return all(e in row for row in star.table)
+    return _is_commutative_monoid(t, e) and bool((t == e).any(axis=1).all())
 
 
 def group_identity(star: FiniteMagma) -> Optional[int]:

@@ -3,7 +3,8 @@ classification by the (expansive, symmetric, monoid, group) flags.
 
 For a fixed idempotent e, the star operation is pinned down by
 star(x, y) op e = x op y; cancellation makes it unique, so construction is
-a per-pair solve and everything else is verification.
+column e inverted and applied to the table, and everything else is
+verification.
 """
 
 from __future__ import annotations
@@ -13,47 +14,37 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteMagma, Homomorphism
+from .core import (FiniteMagma, Homomorphism, _associativity_violation,
+                   _column_inverse, _is_commutative_monoid)
 
 
 class NotIdempotentError(ValueError):
     """Raised when a unit candidate e does not satisfy e op e = e."""
 
 
+def double_table(m: FiniteMagma, e: int) -> tuple[Optional[int], ...]:
+    """double(m, e, a) for every a, as one lookup table."""
+    return tuple(None if x < 0 else x for x in _column_inverse(m.arr, e).tolist())
+
+
 def double(m: FiniteMagma, e: int, a: int) -> Optional[int]:
     """The unique x with x op e = a, or None when the equation is unsolvable."""
-    col = [m.table[x][e] for x in m.elements()]
-    try:
-        return col.index(a)
-    except ValueError:
-        return None
+    return double_table(m, e)[a]
 
 
 def negate(m: FiniteMagma, e: int, a: int) -> Optional[int]:
     """The unique x with x op a = e, or None."""
-    col = [m.table[x][a] for x in m.elements()]
-    try:
-        return col.index(e)
-    except ValueError:
-        return None
-
-
-def double_table(m: FiniteMagma, e: int) -> tuple[Optional[int], ...]:
-    """double(m, e, a) for every a, as one lookup table."""
-    out: list[Optional[int]] = [None] * m.order
-    for x in m.elements():
-        out[m.table[x][e]] = x
-    return tuple(out)
+    return double_table(m, a)[e]
 
 
 def is_expansive(m: FiniteMagma, e: int) -> bool:
     """Whether doubling at e is total, i.e. column e is surjective."""
-    return len({m.table[x][e] for x in m.elements()}) == m.order
+    return None not in double_table(m, e)
 
 
 def is_symmetric(m: FiniteMagma, e: int) -> bool:
     """Whether negation at e is total: every column contains e."""
-    return all(any(m.table[x][a] == e for x in m.elements()) for a in m.elements())
+    return all(negate(m, e, a) is not None for a in m.elements())
 
 
 def is_homogeneous(m: FiniteMagma) -> bool:
@@ -90,19 +81,13 @@ def _monoid_invariants_hold(m: FiniteMagma, e: int, star: np.ndarray) -> bool:
     """All MonoidStructure invariants: unit laws, commutativity,
     associativity, compatibility with the base operation, and the defining
     identity star(x,y) op e = x op y."""
-    n = m.order
     t = m.arr
-    idx = np.arange(n)
-    if not (np.array_equal(star[e], idx) and np.array_equal(star[:, e], idx)):
-        return False
-    if not np.array_equal(star, star.T):
-        return False
-    if not np.array_equal(star[star], star[idx[:, None, None], star[None, :, :]]):
+    if not _is_commutative_monoid(star, e):
         return False
     if not np.array_equal(t[star, e], t):
         return False
     # compatibility (x*y) op (z*w) = (x op z)*(y op w), sliced to n^3 memory
-    for x in range(n):
+    for x in range(m.order):
         lhs = t[star[x][:, None, None], star[None, :, :]]
         rhs = star[t[x][None, :, None], t[:, None, :]]
         if not np.array_equal(lhs, rhs):
@@ -118,39 +103,32 @@ def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
     """
     if m.table[e][e] != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
-    dt = double_table(m, e)
-    star_rows = []
-    for x in m.elements():
-        row = []
-        for y in m.elements():
-            v = dt[m.table[x][y]]
-            if v is None:
-                return None
-            row.append(v)
-        star_rows.append(tuple(row))
-    star = np.array(star_rows, dtype=np.intp)
+    star = _column_inverse(m.arr, e)[m.arr]
+    if (star < 0).any():
+        return None
     if not _monoid_invariants_hold(m, e, star):
         raise ValueError("constructed star table violates monoid invariants; "
                          "the base table is not a valid ccm-magma")
-    return MonoidStructure(base=m, unit=e, star=tuple(star_rows))
+    return MonoidStructure(base=m, unit=e, star=tuple(map(tuple, star.tolist())))
 
 
 def internal_group(m: FiniteMagma, e: int) -> Optional[GroupStructure]:
     """Group over e: present iff the monoid exists and negation at e is total."""
     mon = internal_monoid(m, e)
-    if mon is None:
+    return None if mon is None else _group_over(mon)
+
+
+def _group_over(mon: MonoidStructure) -> Optional[GroupStructure]:
+    """The inverse step of internal_group, on an already built monoid."""
+    m, e = mon.base, mon.unit
+    inverse = tuple(negate(m, e, a) for a in m.elements())
+    if None in inverse:
         return None
-    inverse = []
-    for a in m.elements():
-        v = negate(m, e, a)
-        if v is None:
-            return None
-        inverse.append(v)
     for a in m.elements():
         if mon.star[inverse[a]][a] != e:
             raise ValueError(f"negation at {a} is not a star-inverse; "
                              "the base table is not a valid ccm-magma")
-    return GroupStructure(monoid=mon, inverse=tuple(inverse))
+    return GroupStructure(monoid=mon, inverse=inverse)
 
 
 def monoid_isomorphism(m: FiniteMagma, u: int, v: int) -> Homomorphism:
@@ -188,19 +166,12 @@ def monoid_isomorphism(m: FiniteMagma, u: int, v: int) -> Homomorphism:
 
 def doubling_additivity_check(m: FiniteMagma, u: int, v: int) -> bool:
     """Whether double(u,a) op double(v,b) = double(u op v, a op b) for all a, b."""
-    du = double_table(m, u)
-    dv = double_table(m, v)
-    duv = double_table(m, m.table[u][v])
-    t = m.table
-    for a in m.elements():
-        for b in m.elements():
-            xa, xb = du[a], dv[b]
-            rhs = duv[t[a][b]]
-            if xa is None or xb is None or rhs is None:
-                return False
-            if t[xa][xb] != rhs:
-                return False
-    return True
+    t = m.arr
+    du, dv, duv = (_column_inverse(t, w) for w in (u, v, t[u, v]))
+    rhs = duv[t]
+    if (du < 0).any() or (dv < 0).any() or (rhs < 0).any():
+        return False
+    return np.array_equal(t[du[:, None], dv[None, :]], rhs)
 
 
 @dataclass(frozen=True)
@@ -223,11 +194,9 @@ def associativity_equivalences(m: FiniteMagma, e: int) -> AssociativityReport:
     if m.table[e][e] != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
     t = m.arr
-    n = m.order
-    idx = np.arange(n)
-    assoc = np.array_equal(t[t], t[idx[:, None, None], t[None, :, :]])
+    assoc = _associativity_violation(t) is None
     unit = all(m.table[e][x] == x for x in m.elements())
-    dbl = all(double(m, e, a) == a for a in m.elements())
+    dbl = double_table(m, e) == tuple(m.elements())
     monoid_direct = _monoid_invariants_hold(m, e, t.copy())
     rep = AssociativityReport(assoc, unit, dbl, monoid_direct)
     if len(set(rep.all_flags())) != 1:
@@ -297,6 +266,6 @@ def classify_finite(m: FiniteMagma, e: int) -> ClassificationLabel:
         raise NotIdempotentError(f"element {e} is not idempotent")
     exp = is_expansive(m, e)
     sym = is_symmetric(m, e)
-    mon = internal_monoid(m, e) is not None
-    grp = mon and internal_group(m, e) is not None
-    return classify(exp, sym, mon, grp)
+    mon = internal_monoid(m, e)
+    grp = mon is not None and _group_over(mon) is not None
+    return classify(exp, sym, mon is not None, grp)
