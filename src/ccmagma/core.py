@@ -167,46 +167,140 @@ def _column_inverse(t: np.ndarray, e: int) -> np.ndarray:
     return inv
 
 
+def _first_sliced(count: int, slice_at) -> Optional[tuple[int, ...]]:
+    """(i, *hit) for the first i in 0..count-1 whose mask slice_at(i) has a
+    True, hit being that mask's smallest True; None when none has one.
+
+    Every counterexample scan goes through here, so memory stays at one
+    slice and the scan stops at the first slice with a hit.
+    """
+    for i in range(count):
+        hit = _first(slice_at(i))
+        if hit is not None:
+            return (i, *hit)
+    return None
+
+
 def _associativity_violation(t: np.ndarray) -> Optional[tuple[int, int, int]]:
     """Smallest (a, b, c) with (a op b) op c != a op (b op c), or None."""
-    return _first(t[t] != t[:, t])
+    # slice a: [b, c] = (a op b) op c  vs  a op (b op c)
+    return _first_sliced(len(t), lambda a: t[t[a]] != t[a][t])
+
+
+def _generators(p: np.ndarray) -> list[int]:
+    """A generating set of the magma with table p, picked greedily in
+    element order: each pick is the smallest element outside the submagma
+    the earlier picks generate.  On a finite group that submagma is a
+    subgroup and each pick at least doubles it, so at most log2(n) + 1
+    elements are picked.
+    """
+    closed = np.zeros(len(p), dtype=bool)
+    gens = []
+    for x in range(len(p)):
+        if closed[x]:
+            continue
+        gens.append(x)
+        closed[x] = True
+        frontier = np.array([x])
+        # every product with a newly reached element on either side, until
+        # nothing new is reached; pairs of older elements are already closed
+        while frontier.size:
+            inside = np.flatnonzero(closed)
+            reached = np.concatenate((p[np.ix_(frontier, inside)].ravel(),
+                                      p[np.ix_(inside, frontier)].ravel()))
+            frontier = np.unique(reached[~closed[reached]])
+            closed[frontier] = True
+    return gens
+
+
+def _associative_on(p: np.ndarray, gens: list[int]) -> bool:
+    """Light's test: with gens generating the magma p, p is associative iff
+    (x p g) p y = x p (g p y) for every g in gens and all x, y.  The
+    elements g passing that test form a submagma, so passing on generators
+    is passing everywhere.  O(n^2) per generator.
+    """
+    return all(np.array_equal(p[p[:, g]], p[:, p[g]]) for g in gens)
 
 
 def _is_commutative_monoid(star: np.ndarray, e: int) -> bool:
     """Unit e, commutative and associative."""
     return (np.array_equal(star[e], np.arange(len(star)))
             and np.array_equal(star, star.T)
-            and _associativity_violation(star) is None)
+            and _associative_on(star, _generators(star)))
+
+
+def _toyoda_certificate(t: np.ndarray) -> Optional[np.ndarray]:
+    """The automorphism alpha that proves a commutative Latin square medial,
+    or None when the certificate fails.
+
+    Dividing by column 0 gives the commutative loop x (+) y = inv[x] op inv[y]
+    with identity z = 0 op 0, and then x op y = R(x) (+) R(y) with
+    R(x) = x op 0.  When (+) is associative (an abelian group) and
+    alpha(x) = R(x) (-) R(z) is an automorphism of it, x op y equals
+    alpha(x) (+) alpha(y) (+) 2 R(z), which is medial, and associative
+    exactly when alpha is the identity.  Toyoda (1941) and Bruck (1944)
+    show the converse, so on a commutative Latin square the certificate
+    fails only when the table is not medial.  Both checks run on a
+    generating set of (+), O(n^2 log n) in all.
+    """
+    inv = _column_inverse(t, 0)
+    plus = t[inv][:, inv]
+    gens = _generators(plus)
+    if not _associative_on(plus, gens):
+        return None
+    r = t[:, 0]
+    shift = r[t[0, 0]]
+    alpha = plus[r, int(np.argmax(plus[shift] == t[0, 0]))]
+    # alpha(x (+) g) = alpha(x) (+) alpha(g); once (+) is associative the g
+    # passing this form a submagma, so generators suffice
+    if not all(np.array_equal(alpha[plus[:, g]], plus[alpha, alpha[g]])
+               for g in gens):
+        return None
+    return alpha
 
 
 def check_axioms(m: FiniteMagma) -> AxiomReport:
-    """Exhaustively evaluate M1, M2, M3 and associativity, all four always.
+    """Evaluate M1, M2, M3 and associativity, all four always.
 
-    Mediality costs O(n^4); it is evaluated in n^3-sized slices so order 64
-    stays within a few megabytes.
+    M1 is one comparison with the transpose, O(n^2), and M2 a permutation
+    test of every row and column, O(n^2 log n).  On a commutative Latin
+    square, M3 is decided by the Toyoda-Bruck certificate in
+    O(n^2 log n), which also says whether the table is associative.  The
+    sliced scans, O(n^2) memory each, run only to find the
+    lexicographically smallest counterexample, or to decide M3 when M1 or
+    M2 fails or the certificate does.
     """
     t = m.arr
     n = m.order
+    idx = np.arange(n)
 
     comm_ce = _first(t != t.T)
 
-    # cancellation, both sides: columns injective (a+c = b+c => a = b) and
-    # rows injective; scanning right violations first keeps reports stable
-    off_diag = ~np.eye(n, dtype=bool)[:, :, None]
-    right_ce = _first((t[:, None, :] == t[None, :, :]) & off_diag)
-    left_ce = _first((t.T[:, None, :] == t.T[None, :, :]) & off_diag)
-    canc_ce = right_ce if right_ce is not None else left_ce
+    # cancellation, both sides: every column and every row a permutation;
+    # for the counterexample, scanning right violations (a+c = b+c, a != b)
+    # first keeps reports stable
+    latin = bool((np.sort(t, axis=0) == idx[:, None]).all()
+                 and (np.sort(t, axis=1) == idx).all())
+    canc_ce = None
+    if not latin:
+        for side in (t, t.T):
+            # slice a: [b, c] = side[a, c] == side[b, c] with b != a
+            canc_ce = _first_sliced(
+                n, lambda a: (side == side[a]) & (idx != a)[:, None])
+            if canc_ce is not None:
+                break
 
-    medial_ce = None
-    for a in range(n):
-        lhs = t[t[a][:, None, None], t[None, :, :]]       # [b,c,d] = (a+b)+(c+d)
-        rhs = t[t[a][None, :, None], t[:, None, :]]       # [b,c,d] = (a+c)+(b+d)
-        hit = _first(lhs != rhs)
-        if hit is not None:
-            medial_ce = (a, *hit)
-            break
-
-    assoc_ce = _associativity_violation(t)
+    alpha = _toyoda_certificate(t) if comm_ce is None and latin else None
+    if alpha is None:
+        # slice (a, b): [c, d] = (a op b) op (c op d)  vs  (a op c) op (b op d)
+        hit = _first_sliced(
+            n * n, lambda i: t[t.flat[i]][t] != t[np.ix_(t[i // n], t[i % n])])
+        medial_ce = None if hit is None else (*divmod(hit[0], n), *hit[1:])
+        assoc_ce = _associativity_violation(t)
+    else:
+        medial_ce = None
+        assoc_ce = (None if np.array_equal(alpha, idx)
+                    else _associativity_violation(t))
 
     return AxiomReport(
         commutative=comm_ce is None,

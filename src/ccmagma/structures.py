@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (FiniteMagma, Homomorphism, _associativity_violation,
-                   _column_inverse, _is_commutative_monoid)
+                   _column_inverse, _generators, _is_commutative_monoid)
 
 
 class NotIdempotentError(ValueError):
@@ -44,7 +44,7 @@ def is_expansive(m: FiniteMagma, e: int) -> bool:
 
 def is_symmetric(m: FiniteMagma, e: int) -> bool:
     """Whether negation at e is total: every column contains e."""
-    return all(negate(m, e, a) is not None for a in m.elements())
+    return bool((m.arr == e).any(axis=0).all())
 
 
 def is_homogeneous(m: FiniteMagma) -> bool:
@@ -86,13 +86,14 @@ def _monoid_invariants_hold(m: FiniteMagma, e: int, star: np.ndarray) -> bool:
         return False
     if not np.array_equal(t[star, e], t):
         return False
-    # compatibility (x*y) op (z*w) = (x op z)*(y op w), sliced to n^3 memory
-    for x in range(m.order):
-        lhs = t[star[x][:, None, None], star[None, :, :]]
-        rhs = star[t[x][None, :, None], t[:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    # compatibility (x*y) op (z*w) = (x op z)*(y op w) says that
+    # (x, z) -> x op z is a homomorphism (Q,*)^2 -> (Q,*).  With * an
+    # associative monoid, the pairs it respects form a submagma, so checking
+    # the generators (g, e) and (e, g) of (Q,*)^2 is exhaustive.  op is
+    # commutative here (x op y = (x*y) op e), so (g, e) covers (e, g):
+    # [x, z] = (x*g) op z  vs  (x op z)*(g op e)
+    return all(np.array_equal(t[star[:, g]], star[t, t[g, e]])
+               for g in _generators(star))
 
 
 def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
@@ -121,11 +122,13 @@ def internal_group(m: FiniteMagma, e: int) -> Optional[GroupStructure]:
 def _group_over(mon: MonoidStructure) -> Optional[GroupStructure]:
     """The inverse step of internal_group, on an already built monoid."""
     m, e = mon.base, mon.unit
-    inverse = tuple(negate(m, e, a) for a in m.elements())
-    if None in inverse:
+    hits = m.arr == e
+    if not hits.any(axis=0).all():
         return None
-    for a in m.elements():
-        if mon.star[inverse[a]][a] != e:
+    # negate(m, e, a) for every a: the smallest x with x op a = e
+    inverse = tuple(np.argmax(hits, axis=0).tolist())
+    for a, x in enumerate(inverse):
+        if mon.star[x][a] != e:
             raise ValueError(f"negation at {a} is not a star-inverse; "
                              "the base table is not a valid ccm-magma")
     return GroupStructure(monoid=mon, inverse=inverse)

@@ -78,6 +78,25 @@ def brute_star(table, e):
     return tuple(star)
 
 
+def brute_monoid_invariants(table, star, e):
+    """Every monoid invariant by naive scans: unit e, commutative,
+    associative, star(x, y) op e = x op y, and the compatibility
+    (x*y) op (z*w) = (x op z)*(y op w) over all quadruples."""
+    rng = range(len(table))
+    if any(star[e][x] != x for x in rng):
+        return False
+    for x, y in product(rng, rng):
+        if star[x][y] != star[y][x] or table[star[x][y]][e] != table[x][y]:
+            return False
+    for x, y, z in product(rng, rng, rng):
+        if star[star[x][y]][z] != star[x][star[y][z]]:
+            return False
+    for x, y, z, w in product(rng, rng, rng, rng):
+        if table[star[x][y]][star[z][w]] != star[table[x][z]][table[y][w]]:
+            return False
+    return True
+
+
 def brute_groups_isomorphic(t1, t2):
     """Search all bijections; only usable at tiny orders."""
     n = len(t1)

@@ -1,16 +1,24 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccmagma import fixtures
-from ccmagma.core import (FiniteMagma, Homomorphism, ParseError, check_axioms,
-                          constant_hom, derived_magma, format_magma,
-                          identity_hom, idempotent_subalgebra, idempotents,
-                          is_homomorphism, pair_hom, pair_split, parse_magma,
-                          product_magma, subalgebra_closure, weak_maltsev_p)
-from ccmagma.generation import idempotent_parity_audit
+from ccmagma.core import (FiniteMagma, Homomorphism, ParseError,
+                          _associative_on, _column_inverse, _generators,
+                          _toyoda_certificate, check_axioms, constant_hom,
+                          derived_magma, format_magma, identity_hom,
+                          idempotent_subalgebra, idempotents, is_homomorphism,
+                          pair_hom, pair_split, parse_magma, product_magma,
+                          subalgebra_closure, weak_maltsev_p)
+from ccmagma.generation import (extract_group, generate_quasigroup,
+                                idempotent_parity_audit)
+from ccmagma.structures import internal_monoid
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
-from _brute import brute_axioms
+from _brute import brute_axioms, brute_monoid_invariants, brute_star
 
 A2_TEXT = "3\n0 2 1\n2 1 0\n1 0 2"
 
@@ -56,6 +64,18 @@ class TestParse:
 
     def test_format_is_canonical(self):
         assert format_magma(A2) == "3\n0 2 1\n2 1 0\n1 0 2\n"
+
+
+def _as_oracle(rep):
+    """An AxiomReport in the shape brute_axioms returns."""
+    return {"commutative": rep.commutative,
+            "commutative_ce": rep.commutative_counterexample,
+            "cancellative": rep.cancellative,
+            "cancellative_ce": rep.cancellative_counterexample,
+            "medial": rep.medial, "medial_ce": rep.medial_counterexample,
+            "associative": rep.associative,
+            "associative_ce": rep.associative_counterexample,
+            "idempotents": rep.idempotents}
 
 
 class TestCheckAxioms:
@@ -106,17 +126,62 @@ class TestCheckAxioms:
                            min_size=n, max_size=n)))
     def test_matches_brute_force(self, rows):
         m = FiniteMagma(tuple(tuple(r) for r in rows))
-        rep = check_axioms(m)
-        oracle = brute_axioms(m.table)
-        assert rep.commutative == oracle["commutative"]
-        assert rep.commutative_counterexample == oracle["commutative_ce"]
-        assert rep.cancellative == oracle["cancellative"]
-        assert rep.cancellative_counterexample == oracle["cancellative_ce"]
-        assert rep.medial == oracle["medial"]
-        assert rep.medial_counterexample == oracle["medial_ce"]
-        assert rep.associative == oracle["associative"]
-        assert rep.associative_counterexample == oracle["associative_ce"]
-        assert rep.idempotents == oracle["idempotents"]
+        assert _as_oracle(check_axioms(m)) == brute_axioms(m.table)
+
+    def test_matches_brute_force_on_generated_and_defective(self):
+        branches = set()
+        for kind, table in _axiom_inputs():
+            rep = check_axioms(FiniteMagma(table))
+            assert _as_oracle(rep) == brute_axioms(table), (kind, len(table))
+            branches.add(_certificate_branch(np.array(table)))
+        # the inputs reach the certificate's every outcome, including both
+        # ways it can fail on a commutative Latin square
+        assert branches == {"not-latin", "certified", "plus-not-associative",
+                            "alpha-not-additive"}
+
+    def test_star_matches_brute_force_on_generated_and_defective(self):
+        for kind, table in _axiom_inputs():
+            m = FiniteMagma(table)
+            for e in idempotents(m)[:1]:
+                expected = brute_star(table, e)
+                # the O(n^4) invariant oracle runs at the smaller orders
+                exhaustive = len(table) <= 16
+                try:
+                    mon = internal_monoid(m, e)
+                except ValueError:
+                    # a solvable star that breaks the invariants
+                    assert kind not in ("generated", "group") and expected is not None
+                    if exhaustive:
+                        assert not brute_monoid_invariants(table, expected, e)
+                    continue
+                if expected is None:
+                    assert mon is None, (kind, len(table))
+                else:
+                    assert mon.star == expected, (kind, len(table))
+                    if exhaustive:
+                        assert brute_monoid_invariants(table, mon.star, e)
+
+    @pytest.mark.parametrize("defect", [None, "cell", "intercalate"])
+    def test_memory_stays_below_cubic(self, defect):
+        n = 96
+        m, _ = generate_quasigroup(n, 1)
+        table = m.table
+        if defect == "cell":
+            table = _perturb_cell(table, random.Random(1))
+        elif defect == "intercalate":
+            table = _swap_intercalates(table, 1, random.Random(1))
+        m = FiniteMagma(table)
+        calls = [lambda: check_axioms(m)]
+        if defect is None:
+            calls.append(lambda: internal_monoid(m, idempotents(m)[0]))
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n ** 3, peak
 
     def test_valid_tables_are_latin(self, batch_small):
         for _, _, m, _ in batch_small:
@@ -124,6 +189,68 @@ class TestCheckAxioms:
             full = set(m.elements())
             for row in m.table:
                 assert set(row) == full
+
+
+def _swap_intercalates(table, count, rng):
+    """Copy with up to count symmetric intercalate swaps.  t[a][a] = t[b][b]
+    makes rows and columns a, b an intercalate; swapping its two symbols
+    keeps the table commutative and Latin, so only mediality can break."""
+    rows = [list(r) for r in table]
+    pairs = [(a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
+             if rows[a][a] == rows[b][b]]
+    for a, b in rng.sample(pairs, min(count, len(pairs))):
+        if rows[a][a] == rows[b][b]:  # an earlier swap may have moved it
+            x, y = rows[a][a], rows[a][b]
+            rows[a][a] = rows[b][b] = y
+            rows[a][b] = rows[b][a] = x
+    return tuple(map(tuple, rows))
+
+
+def _perturb_cell(table, rng):
+    rows = [list(r) for r in table]
+    n = len(rows)
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
+    return tuple(map(tuple, rows))
+
+
+def _relabel(table, rng):
+    """x op' y = pi(x) op pi(y): commutative, Latin and isotopic to an
+    abelian group, but medial only when pi is affine."""
+    pi = list(range(len(table)))
+    rng.shuffle(pi)
+    return tuple(tuple(table[pi[x]][pi[y]] for y in pi) for x in pi)
+
+
+def _axiom_inputs():
+    rng = random.Random(7)
+    out = []
+    for n in range(2, 25):
+        for seed in (n, 100 + n):
+            m = generate_quasigroup(n, seed)[0]
+            table = m.table
+            # the group star(x, y) op 0 = x op y, with identity 0
+            group = extract_group(m, 0).table
+            out += [("generated", table),
+                    ("swapped", _swap_intercalates(table, 1 + seed % 3, rng)),
+                    ("cell", _perturb_cell(table, rng)),
+                    ("relabelled", _relabel(table, rng)),
+                    ("group", group),
+                    ("swapped-group", _swap_intercalates(group, 1, rng))]
+    return out
+
+
+def _certificate_branch(t):
+    if not (np.array_equal(t, t.T)
+            and (np.sort(t, axis=0) == np.arange(len(t))[:, None]).all()):
+        return "not-latin"
+    if _toyoda_certificate(t) is not None:
+        return "certified"
+    inv = _column_inverse(t, 0)
+    plus = t[inv][:, inv]
+    if not _associative_on(plus, _generators(plus)):
+        return "plus-not-associative"
+    return "alpha-not-additive"
 
 
 class TestIdempotents:
