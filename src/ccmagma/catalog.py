@@ -644,33 +644,66 @@ class SampleReport:
         }
 
 
+def _pair_table(fam: ParametricFamily, pts: Sequence[Number]) -> tuple[list, list]:
+    """Every ordered product of the samples, evaluated once.
+
+    Returns (table, values): table[i][j] is the id of fam.evaluate(pts[i],
+    pts[j]) in values, or None where that product escapes the carrier.
+    Equal products share one id; in float mode -0.0 and 0.0 stay apart.
+    """
+    floats = fam.mode == "float"
+    ids: dict = {}
+    values: list = []
+    table = []
+    for x in pts:
+        row = []
+        for y in pts:
+            try:
+                v = fam.evaluate(x, y)
+            except ClosureError:
+                row.append(None)
+                continue
+            k = ids.setdefault((v, math.copysign(1.0, v)) if floats else v,
+                               len(values))
+            if k == len(values):
+                values.append(v)
+            row.append(k)
+        table.append(row)
+    return table, values
+
+
+_UNSET = object()   # a product of two products, not evaluated yet
+
+
 def sampled_axiom_check(fam: ParametricFamily,
                         samples: Optional[Sequence[Number]] = None,
                         denominator: int = 16,
                         classify_too: bool = True) -> SampleReport:
     """M1 over pairs, M2 by solver-inversion spot checks, M3 over all
     quadruples of the sample set.  Exact mode demands equality; float mode
-    tracks the worst residual against tolerance 1e-9."""
+    tracks the worst residual against tolerance 1e-9.
+
+    Each distinct ordered product is evaluated once per call: products of
+    samples come from _pair_table, products of two such products from a
+    dense table over their ids, filled as the quadruple loop reaches them.
+    Every lookup of a product that escapes the carrier counts one closure
+    violation, exactly as one failing evaluation per call site would.
+    """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
     worst = 0.0
     closure = 0
     m1 = m2 = m3 = True
+    pairs, values = _pair_table(fam, pts)
 
-    def op(x, y):
-        nonlocal closure
-        try:
-            return fam.evaluate(x, y)
-        except ClosureError:
-            closure += 1
-            return None
-
-    for x in pts:
-        for y in pts:
-            v, w = op(x, y), op(y, x)
-            if v is None or w is None:
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            vi, wi = pairs[i][j], pairs[j][i]
+            if vi is None or wi is None:
+                closure += (vi is None) + (wi is None)
                 m1 = False
                 continue
+            v, w = values[vi], values[wi]
             if exact:
                 m1 = m1 and v == w
             else:
@@ -688,22 +721,39 @@ def sampled_axiom_check(fam: ParametricFamily,
                 residual = abs(fam.evaluate(got, y) - v)
                 worst = max(worst, residual)
                 m2 = m2 and residual <= FLOAT_TOL
-    for a in pts:
-        for b in pts:
-            ab = op(a, b)
+    # products[p][q] = op(values[p], values[q]), or None outside the carrier
+    products = [[_UNSET] * len(values) for _ in values]
+
+    def op(p, q):
+        try:
+            return fam.evaluate(values[p], values[q])
+        except ClosureError:
+            return None
+
+    for row_a in pairs:
+        for ab, row_b in zip(row_a, pairs):
             if ab is None:
+                closure += 1
                 continue
-            for c in pts:
-                ac = op(a, c)
+            ab_times = products[ab]
+            for ac, row_c in zip(row_a, pairs):
                 if ac is None:
+                    closure += 1
                     continue
-                for d in pts:
-                    cd, bd = op(c, d), op(b, d)
+                ac_times = products[ac]
+                for cd, bd in zip(row_c, row_b):
                     if cd is None or bd is None:
+                        closure += (cd is None) + (bd is None)
                         m3 = False
                         continue
-                    lhs, rhs = op(ab, cd), op(ac, bd)
+                    lhs = ab_times[cd]
+                    if lhs is _UNSET:
+                        lhs = ab_times[cd] = op(ab, cd)
+                    rhs = ac_times[bd]
+                    if rhs is _UNSET:
+                        rhs = ac_times[bd] = op(ac, bd)
                     if lhs is None or rhs is None:
+                        closure += (lhs is None) + (rhs is None)
                         m3 = False
                         continue
                     if exact:
@@ -728,12 +778,17 @@ def sampled_associativity(fam: ParametricFamily,
                           samples: Optional[Sequence[Number]] = None) -> bool:
     pts = samples if samples is not None else default_samples(fam, 8)
     exact = fam.mode == "exact"
-    for a in pts:
-        for b in pts:
-            for c in pts:
+    pairs, values = _pair_table(fam, pts)
+    for a, row_a in zip(pts, pairs):
+        for ab, row_b in zip(row_a, pairs):
+            if ab is None:
+                continue
+            for c, bc in zip(pts, row_b):
+                if bc is None:
+                    continue
                 try:
-                    lhs = fam.evaluate(fam.evaluate(a, b), c)
-                    rhs = fam.evaluate(a, fam.evaluate(b, c))
+                    lhs = fam.evaluate(values[ab], c)
+                    rhs = fam.evaluate(a, values[bc])
                 except ClosureError:
                     continue
                 if exact and lhs != rhs:

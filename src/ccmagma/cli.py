@@ -54,7 +54,11 @@ def _emit(report: dict, summary: list[str], args, started: float) -> None:
 
 def _load(path: str) -> tuple[FiniteMagma, dict]:
     data = Path(path).read_bytes()
-    magma = parse_magma(data.decode("utf-8"))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    magma = parse_magma(text)
     return magma, {"path": path, "sha256": _digest(data)}
 
 
@@ -193,6 +197,11 @@ def _cmd_relation(args) -> int:
     except ValueError:
         print(f"error: bad --subalgebra {args.subalgebra!r}", file=sys.stderr)
         return EXIT_USAGE
+    outside = [x for x in seed if not 0 <= x < magma.order]
+    if outside:
+        print(f"error: --subalgebra elements {outside} out of range "
+              f"0..{magma.order - 1}", file=sys.stderr)
+        return EXIT_USAGE
     e = args.unit
     closed = subalgebra_closure(magma, seed)
     if tuple(seed) != closed:
@@ -280,6 +289,16 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccmagma",
@@ -324,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="parametric family reports")
     p.add_argument("--family")
-    p.add_argument("--samples", type=int, default=16,
+    p.add_argument("--samples", type=_positive_int, default=16,
                    help="sample-grid denominator (default 16)")
     p.set_defaults(fn=_cmd_catalog)
 
@@ -343,7 +362,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:   # missing file, directory, unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from .core import (FiniteMagma, _column_inverse, _is_commutative_monoid,
                    magma_from_function)
 
@@ -219,10 +221,9 @@ def _is_abelian_group(star: FiniteMagma, e: int) -> bool:
 
 
 def group_identity(star: FiniteMagma) -> Optional[int]:
-    for e in star.elements():
-        if all(star.table[e][x] == x for x in star.elements()):
-            return e
-    return None
+    """The smallest e whose row is the identity map, or None."""
+    hits = (star.arr == np.arange(star.order)).all(axis=1)
+    return int(hits.argmax()) if hits.any() else None
 
 
 def _require_group(star: FiniteMagma) -> int:
@@ -234,7 +235,11 @@ def _require_group(star: FiniteMagma) -> int:
 
 def element_orders(star: FiniteMagma) -> tuple[int, ...]:
     """Multiplicative order of each element, by power iteration."""
-    e = _require_group(star)
+    return _element_orders(star, _require_group(star))
+
+
+def _element_orders(star: FiniteMagma, e: int) -> tuple[int, ...]:
+    """element_orders of a table already verified as a group with identity e."""
     out = []
     for x in star.elements():
         acc, k = x, 1
@@ -252,8 +257,7 @@ def invariant_factors(star: FiniteMagma) -> list[int]:
     partition of the p-primary component; recombining per slot gives the
     d_1 | d_2 | ... list that determines the group up to isomorphism.
     """
-    _require_group(star)
-    orders = element_orders(star)
+    orders = _element_orders(star, _require_group(star))
     n = star.order
     if n == 1:
         return []

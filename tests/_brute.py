@@ -137,3 +137,83 @@ def endomorphism_pool(table, limit=None):
 
     walk([])
     return found
+
+
+def brute_sampled_axiom_check(fam, samples=None, denominator=16, classify_too=True):
+    """The sampled M1/M2/M3 check with one fam.evaluate per call site and
+    no memo: the reference for catalog.sampled_axiom_check, closure
+    counts and worst residual included."""
+    from ccmagma.catalog import (FLOAT_TOL, ClosureError, SampleReport,
+                                 classify_family, default_samples)
+
+    pts = list(samples) if samples is not None else default_samples(fam, denominator)
+    exact = fam.mode == "exact"
+    worst = 0.0
+    closure = 0
+    m1 = m2 = m3 = True
+
+    def op(x, y):
+        nonlocal closure
+        try:
+            return fam.evaluate(x, y)
+        except ClosureError:
+            closure += 1
+            return None
+
+    for x in pts:
+        for y in pts:
+            v, w = op(x, y), op(y, x)
+            if v is None or w is None:
+                m1 = False
+                continue
+            if exact:
+                m1 = m1 and v == w
+            else:
+                worst = max(worst, abs(v - w))
+                m1 = m1 and abs(v - w) <= FLOAT_TOL
+            got = fam.solve_left(y, v)
+            if got is None:
+                m2 = False
+            elif exact:
+                m2 = m2 and got == x
+            else:
+                # float conditioning (cube roots near zero) can push the
+                # recovered pre-image far from x, so check the defining
+                # equation instead: the solution must solve x' op y = v
+                residual = abs(fam.evaluate(got, y) - v)
+                worst = max(worst, residual)
+                m2 = m2 and residual <= FLOAT_TOL
+    for a in pts:
+        for b in pts:
+            ab = op(a, b)
+            if ab is None:
+                continue
+            for c in pts:
+                ac = op(a, c)
+                if ac is None:
+                    continue
+                for d in pts:
+                    cd, bd = op(c, d), op(b, d)
+                    if cd is None or bd is None:
+                        m3 = False
+                        continue
+                    lhs, rhs = op(ab, cd), op(ac, bd)
+                    if lhs is None or rhs is None:
+                        m3 = False
+                        continue
+                    if exact:
+                        m3 = m3 and lhs == rhs
+                    else:
+                        worst = max(worst, abs(lhs - rhs))
+                        m3 = m3 and abs(lhs - rhs) <= FLOAT_TOL
+
+    label = expected = None
+    matches = None
+    if classify_too and fam.unit is not None:
+        verdict = classify_family(fam, pts)
+        label = verdict.label.label
+        expected = fam.expected_label
+        matches = verdict.matches_expected
+    return SampleReport(fam.id, len(pts), m1, m2, m3,
+                        None if exact else worst, closure,
+                        label, expected, matches)

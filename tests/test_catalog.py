@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccmagma import fixtures
-from ccmagma.catalog import (CATALOG, DomainError, Interval,
+from ccmagma.catalog import (CATALOG, AffineFamily, CubeRootFamily, DomainError,
+                             Interval, ParametricFamily, ProbSumFamily,
                              classify_family, default_samples,
                              half_has_no_inverse_check, mobius_maps_into,
                              monoid_formula_check, sampled_associativity,
                              sampled_axiom_check)
 from ccmagma.core import check_axioms
+
+from _brute import brute_sampled_axiom_check
 
 F = Fraction
 H = CATALOG["harmonic-(0,1]"]
@@ -177,6 +180,44 @@ class TestSampledAxioms:
                                   classify_too=False)
         assert rep.m1_ok and rep.m2_ok and rep.m3_ok
         assert rep.worst_residual <= 1e-9
+
+
+NON_CLOSED = [
+    ParametricFamily("affine-[0,1]:1,0", AffineFamily(1, 0, Interval(0, 1)),
+                     "a+b", None, None, True),
+    ParametricFamily("prodsum-[0,1]", ProbSumFamily(1, Interval(0, 1)),
+                     "a+b+ab", None, None, True),
+    ParametricFamily("cuberoot-doubling-[-1,1]",
+                     CubeRootFamily(2, 1, Interval(-1, 1)),
+                     "2(a^3+b^3)^(1/3)", None, None, False),
+]
+
+
+class TestSampledAxiomOracle:
+    """The memoised check against the one-evaluation-per-call-site loop,
+    every SampleReport field compared."""
+
+    @pytest.mark.parametrize("fid", sorted(CATALOG))
+    def test_catalog_grids(self, fid):
+        fam = CATALOG[fid]
+        for denominator in range(2, 7):
+            assert (sampled_axiom_check(fam, denominator=denominator)
+                    == brute_sampled_axiom_check(fam, denominator=denominator))
+
+    def test_geometric_random_samples(self):
+        import random
+        rng = random.Random(7)
+        pts = [rng.uniform(0.05, 0.95) for _ in range(16)]
+        fam = CATALOG["geometric-(0,1)"]
+        assert (sampled_axiom_check(fam, pts, classify_too=False)
+                == brute_sampled_axiom_check(fam, pts, classify_too=False))
+
+    @pytest.mark.parametrize("fam", NON_CLOSED, ids=lambda f: f.id)
+    def test_closure_violations_counted_per_call_site(self, fam):
+        for denominator in (3, 5):
+            rep = sampled_axiom_check(fam, denominator=denominator)
+            assert rep.closure_violations > 0
+            assert rep == brute_sampled_axiom_check(fam, denominator=denominator)
 
 
 class TestClassification:

@@ -249,6 +249,35 @@ class TestCatalog:
         assert report["results"]["classification"] == "V"
 
 
+class TestMalformedInputs:
+    """Each exits 2 with a message on stderr, no traceback, no report."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.strip()
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_catalog_samples_not_positive(self, capsys, samples):
+        self.assert_usage_error(capsys, "catalog", "--family", "midpoint-R",
+                                "--samples", samples)
+
+    def test_check_directory(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "check", str(tmp_path))
+
+    def test_check_non_utf8_table(self, capsys, tmp_path):
+        path = tmp_path / "latin1.tbl"
+        path.write_bytes(b"# \xe9\xe9\n1\n0\n")
+        self.assert_usage_error(capsys, "check", str(path))
+
+    def test_relation_subalgebra_out_of_range(self, capsys, z9_file):
+        self.assert_usage_error(capsys, "relation", z9_file,
+                                "--subalgebra", "0,99", "--unit", "0")
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timing(self, capsys, z9_file):
         _, r1, _ = run(capsys, "relation", z9_file,

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccmagma import fixtures
-from ccmagma.core import check_axioms, idempotents
+from ccmagma.core import FiniteMagma, check_axioms, idempotents
 from ccmagma.generation import (AbelianGroupSpec, ToyodaParams, element_orders,
                                 extract_group, generate_quasigroup,
-                                groups_isomorphic, idempotent_parity_audit,
+                                group_identity, groups_isomorphic,
+                                idempotent_parity_audit,
                                 invariant_factors, random_group_spec,
                                 toyoda_table)
 from ccmagma.structures import internal_monoid
@@ -176,6 +177,27 @@ class TestInvariantFactors:
     def test_rejects_non_group(self):
         with pytest.raises(ValueError, match="not an abelian group"):
             invariant_factors(F5A)
+
+    @pytest.mark.parametrize("table", [
+        [[0, 0], [0, 1]],                     # monoid, 0 has no inverse
+        [[0, 1, 2], [1, 2, 2], [2, 2, 2]],    # commutative monoid, not a group
+        [[0, 2, 1], [2, 1, 0], [1, 0, 2]],    # Latin square without identity row
+    ])
+    def test_both_public_functions_reject_non_group(self, table):
+        star = FiniteMagma(table)
+        with pytest.raises(ValueError, match="not an abelian group"):
+            invariant_factors(star)
+        with pytest.raises(ValueError, match="not an abelian group"):
+            element_orders(star)
+
+    @pytest.mark.parametrize("table", [
+        [[0, 1], [0, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 1]],
+        [[1, 2, 0], [0, 1, 2], [0, 1, 2]], [[0]],
+    ] + [list(map(list, fixtures.cyclic_add(n).table)) for n in (3, 6)])
+    def test_group_identity_is_first_identity_row(self, table):
+        n = len(table)
+        rows = [e for e in range(n) if table[e] == list(range(n))]
+        assert group_identity(FiniteMagma(table)) == (rows[0] if rows else None)
 
     def test_agrees_with_brute_isomorphism_search(self):
         specs = [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4),
