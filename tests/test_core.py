@@ -65,6 +65,98 @@ class TestParse:
     def test_format_is_canonical(self):
         assert format_magma(A2) == "3\n0 2 1\n2 1 0\n1 0 2\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("# only a comment\n\n   \n", "empty input"),
+        ("x\n0", "line 1: order 'x' is not an integer"),
+        ("# c\n3 3\n0 1 2", "line 2: order '3 3' is not an integer"),
+        ("0\n", "line 1: order must be >= 1, got 0"),
+        ("-2\n0 0\n0 0", "line 1: order must be >= 1, got -2"),
+        ("3\n0 2 1", "expected 3 rows, found 1"),
+        ("2\n0 1\n1 0\n0 1", "expected 2 rows, found 3"),
+        ("3\n0 9 1\n2 1 0", "expected 3 rows, found 2"),
+        ("3\n0 2 1\n2 1\n1 0 2", "line 3: expected 3 entries, found 2"),
+        ("2\n0 1 1\n1 0", "line 2: expected 2 entries, found 3"),
+        ("2\n0 a\n1 0", "line 2: entry 'a' is not an integer"),
+        ("2\n0 1.0\n1 0", "line 2: entry '1.0' is not an integer"),
+        ("# c\n2\n# c\n0 1\n1 x", "line 5: entry 'x' is not an integer"),
+        ("2\n0 2\n2 1", "line 2: entry 2 >= order 2"),
+        ("2\n0 1\n1 99999999999999999999999", "line 3: entry 99999999999999999999999 >= order 2"),
+        ("2\n0 -1\n1 0", "line 2: entry -1 is negative"),
+        ("2\n-7 5\n1 0", "line 2: entry -7 is negative"),
+        # per-line order: an earlier line's range error wins over a later
+        # line's count or integer error, and within a line the first entry
+        ("3\n0 5 1\n2 1\n1 0 2", "line 2: entry 5 >= order 3"),
+        ("3\n0 1 2\n2 -1 0\n1 0", "line 3: entry -1 is negative"),
+        ("3\n0 1 7\n2 1 0\n1 0 z", "line 2: entry 7 >= order 3"),
+        ("3\n0 1 2\n2 1 0 0\n1 0 9", "line 3: expected 3 entries, found 4"),
+        ("2\n0 q 5\n1 0", "line 2: expected 2 entries, found 3"),
+        ("2\n0 q\n1 9", "line 2: entry 'q' is not an integer"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_magma(text)
+        assert str(info.value) == message
+
+
+class TestFiniteMagma:
+    ROWS = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+
+    def test_tuples_lists_and_arrays_agree(self):
+        forms = [FiniteMagma(self.ROWS),
+                 FiniteMagma([list(r) for r in self.ROWS]),
+                 FiniteMagma(np.array(self.ROWS)),
+                 FiniteMagma(np.array(self.ROWS, dtype=np.int8))]
+        for m in forms:
+            assert m == A2
+            assert hash(m) == hash(A2)
+            assert m.table == self.ROWS
+            assert m.order == 3
+            assert m.arr.dtype == np.intp
+        assert len(set(forms)) == 1
+
+    def test_unequal_tables(self):
+        assert FiniteMagma(self.ROWS) != fixtures.cyclic_add(3)
+        assert FiniteMagma(self.ROWS) != fixtures.singleton()
+        assert FiniteMagma(self.ROWS) != self.ROWS
+
+    def test_arr_is_read_only(self):
+        m = FiniteMagma(self.ROWS)
+        assert not m.arr.flags.writeable
+        with pytest.raises(ValueError):
+            m.arr[0, 0] = 1
+
+    def test_caller_array_is_copied(self):
+        src = np.array(self.ROWS, dtype=np.intp)
+        m = FiniteMagma(src)
+        src[0, 0] = 2
+        src[1] = 0
+        assert m == A2
+        assert m.table == self.ROWS
+        assert m.arr[0, 0] == 0
+
+    def test_caller_lists_are_copied(self):
+        rows = [list(r) for r in self.ROWS]
+        m = FiniteMagma(rows)
+        rows[0][0] = 2
+        assert m.table == self.ROWS
+
+    @pytest.mark.parametrize("table, message", [
+        ((), "order must be >= 1"),
+        (np.zeros((0, 0), dtype=np.intp), "order must be >= 1"),
+        (((0, 1), (1,)), "row 1 has length 1, expected 2"),
+        (((0,), (0,)), "row 0 has length 1, expected 2"),
+        (np.zeros((2, 3), dtype=np.intp), "row 0 has length 3, expected 2"),
+        (((0, 2), (1, 0)), "entry 2 out of range 0..1"),
+        (((0, 1), (-1, 0)), "entry -1 out of range 0..1"),
+        (((0, 5), (1,)), "entry 5 out of range 0..1"),
+        (((0, 1), (1, 2 ** 70)), f"entry {2 ** 70} out of range 0..1"),
+    ])
+    def test_construction_errors(self, table, message):
+        with pytest.raises(ValueError) as info:
+            FiniteMagma(table)
+        assert str(info.value) == message
+
 
 def _as_oracle(rep):
     """An AxiomReport in the shape brute_axioms returns."""

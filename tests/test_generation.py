@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccmagma import fixtures
-from ccmagma.core import FiniteMagma, check_axioms, idempotents
+from ccmagma.core import FiniteMagma, check_axioms, format_magma, idempotents
 from ccmagma.generation import (AbelianGroupSpec, ToyodaParams, element_orders,
                                 extract_group, generate_quasigroup,
                                 group_identity, groups_isomorphic,
@@ -118,6 +120,18 @@ class TestGenerate:
         assert magma.order == order
         assert check_axioms(magma).is_ccm
         assert math.prod(params.group.factors) == order
+
+
+    def test_generation_digest(self):
+        # tables and sidecar parameters are byte-stable across releases
+        h = hashlib.sha256()
+        for order in (*range(1, 65), 96, 128, 256):
+            for seed in (0, 1, 7, 12345):
+                magma, params = generate_quasigroup(order, seed)
+                h.update(format_magma(magma).encode())
+                h.update(json.dumps(params.to_json_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "31b11ffae553afcb5c0b51318a33108fa8f18a7273a0b2339a4be1bff2c87f30")
 
 
 class TestExtractGroup:
