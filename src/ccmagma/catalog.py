@@ -201,16 +201,6 @@ def mobius_maps_into(src: Interval, dst: Interval, p, q, r, s) -> bool:
     return _ends_within(lo_end, hi_end, dst)
 
 
-def _map_interval_affine(iv: Interval, slope: Fraction, offset: Fraction) -> Interval:
-    """Image of an interval under a strictly monotone affine map."""
-    assert slope != 0
-    lo = None if iv.lo is None else slope * iv.lo + offset
-    hi = None if iv.hi is None else slope * iv.hi + offset
-    if slope > 0:
-        return Interval(lo, hi, iv.lo_open, iv.hi_open, iv.integral)
-    return Interval(hi, lo, iv.hi_open, iv.lo_open, iv.integral)
-
-
 # ---------------------------------------------------------------------------
 # family shapes: formula + closed-form solver + analytic totality
 

@@ -21,7 +21,8 @@ from .catalog import (CATALOG, classify_family, default_samples,
                       half_has_no_inverse_check, monoid_formula_check,
                       sampled_axiom_check)
 from .core import (FiniteMagma, ParseError, check_axioms, format_magma,
-                   idempotent_subalgebra, parse_magma, subalgebra_closure)
+                   idempotent_subalgebra, idempotents, parse_magma,
+                   subalgebra_closure)
 from .generation import (extract_group, generate_quasigroup,
                          idempotent_parity_audit, invariant_factors)
 from .relations import format_relation, subalgebra_relation, transitivity_criterion
@@ -146,9 +147,7 @@ def _cmd_generate(args) -> int:
                               "sidecar_path": str(sidecar),
                               "sha256": _digest(text.encode("utf-8")),
                               "invariant_factors": list(params.group.factors),
-                              "idempotent_count": sum(
-                                  1 for i in magma.elements()
-                                  if magma.table[i][i] == i)})
+                              "idempotent_count": len(idempotents(magma))})
     _emit(report, [f"generate: wrote order-{args.order} table to {out}"],
           args, started)
     return EXIT_OK
@@ -164,7 +163,7 @@ def _cmd_extract_group(args) -> int:
         print(f"error: unit {e} out of range", file=sys.stderr)
         return EXIT_USAGE
     warning = None
-    if magma.table[e][e] != e:
+    if magma.arr[e, e] != e:
         warning = (f"unit {e} is not idempotent: the extracted group is valid "
                    "but does not come from an internal monoid")
         print(f"warning: {warning}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -19,40 +20,59 @@ class ParseError(ValueError):
     """Malformed Cayley-table text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FiniteMagma:
-    """An order-n magma as an n x n grid of element indices."""
+    """An order-n magma as an n x n grid of element indices.
 
-    table: tuple[tuple[int, ...], ...]
+    The canonical form is arr, a private read-only intp copy of the input
+    (an ndarray or nested sequences); table, the same grid as a tuple of
+    tuples, is derived from it on first use.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.table)
-        object.__setattr__(self, "table", rows)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("order must be >= 1")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"entry {v} out of range 0..{n - 1}")
+    arr: np.ndarray
+
+    def __init__(self, table):
+        try:
+            arr = np.array(table, dtype=np.intp)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if (arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]
+                or not arr.size or arr.min() < 0 or arr.max() >= len(arr)):
+            # only the per-cell pass names the first bad row or entry
+            rows = tuple(tuple(int(v) for v in row) for row in table)
+            if not rows:
+                raise ValueError("order must be >= 1")
+            for i, row in enumerate(rows):
+                if len(row) != len(rows):
+                    raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
+                for v in row:
+                    if not 0 <= v < len(rows):
+                        raise ValueError(f"entry {v} out of range 0..{len(rows) - 1}")
+            arr = np.array(rows, dtype=np.intp)
+        arr.setflags(write=False)
+        object.__setattr__(self, "arr", arr)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.arr.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self.arr)
 
     def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    @cached_property
-    def arr(self) -> np.ndarray:
-        a = np.array(self.table, dtype=np.intp)
-        a.setflags(write=False)
-        return a
+        return int(self.arr[x, y])
 
     def elements(self) -> range:
         return range(self.order)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMagma):
+            return NotImplemented
+        return self is other or np.array_equal(self.arr, other.arr)
+
+    def __hash__(self):
+        return hash((self.arr.shape, self.arr.tobytes()))
 
     def __repr__(self):  # the full table is rarely useful in tracebacks
         return f"FiniteMagma(order={self.order})"
@@ -67,30 +87,35 @@ def magma_from_function(n: int, fn) -> FiniteMagma:
 # lines starting with '#' are comments.  The writer output is bit-stable.
 
 def parse_magma(text: str) -> FiniteMagma:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
+    """One vectorised pass over canonically written text; on anything else
+    the per-line parser below runs, and names the first bad line."""
+    lines = _content_lines(text)
+    try:
+        (_, head), *body = lines
+        n = int(head)
+        rows = [line.split() for _, line in body]
+        if len(rows) == n and all(len(row) == n for row in rows):
+            # a lookup of "0".."n-1" is faster than int(); other tokens give None
+            index = {str(v): v for v in range(n)}
+            cells = np.array(list(map(index.get, chain.from_iterable(rows))), dtype=np.intp)
+            return FiniteMagma(cells.reshape(n, n))
+    except (TypeError, ValueError):
+        pass
     if not lines:
         raise ParseError("empty input")
-    lineno, head = lines[0]
+    (lineno, head), *body = lines
     try:
         n = int(head)
     except ValueError:
         raise ParseError(f"line {lineno}: order {head!r} is not an integer") from None
     if n < 1:
         raise ParseError(f"line {lineno}: order must be >= 1, got {n}")
-    body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} rows, found {len(body)}")
-    rows = []
     for lineno, line in body:
         parts = line.split()
         if len(parts) != n:
             raise ParseError(f"line {lineno}: expected {n} entries, found {len(parts)}")
-        row = []
         for p in parts:
             try:
                 v = int(p)
@@ -99,14 +124,18 @@ def parse_magma(text: str) -> FiniteMagma:
             if not 0 <= v < n:
                 raise ParseError(f"line {lineno}: entry {v} >= order {n}" if v >= 0
                                  else f"line {lineno}: entry {v} is negative")
-            row.append(v)
-        rows.append(tuple(row))
-    return FiniteMagma(tuple(rows))
+    return FiniteMagma([list(map(int, line.split())) for _, line in body])
+
+
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line not blank or a comment."""
+    return [(lineno, s) for lineno, s in enumerate(map(str.strip, text.splitlines()), 1)
+            if s and not s.startswith("#")]
 
 
 def format_magma(m: FiniteMagma) -> str:
     out = [str(m.order)]
-    out.extend(" ".join(str(v) for v in row) for row in m.table)
+    out.extend(" ".join(map(str, row)) for row in m.arr.tolist())
     return "\n".join(out) + "\n"
 
 
@@ -197,20 +226,24 @@ def _generators(p: np.ndarray) -> list[int]:
     closed = np.zeros(len(p), dtype=bool)
     gens = []
     for x in range(len(p)):
-        if closed[x]:
-            continue
-        gens.append(x)
-        closed[x] = True
-        frontier = np.array([x])
-        # every product with a newly reached element on either side, until
-        # nothing new is reached; pairs of older elements are already closed
-        while frontier.size:
-            inside = np.flatnonzero(closed)
-            reached = np.concatenate((p[np.ix_(frontier, inside)].ravel(),
-                                      p[np.ix_(inside, frontier)].ravel()))
-            frontier = np.unique(reached[~closed[reached]])
-            closed[frontier] = True
+        if not closed[x]:
+            gens.append(x)
+            _close(p, closed, np.array([x]))
     return gens
+
+
+def _close(p: np.ndarray, closed: np.ndarray, frontier: np.ndarray) -> None:
+    """Grow the mask closed, already closed under p apart from the new
+    elements frontier, to the submagma it generates, in place."""
+    closed[frontier] = True
+    # every product with a newly reached element on either side, until
+    # nothing new is reached; pairs of older elements are already closed
+    while frontier.size:
+        inside = np.flatnonzero(closed)
+        reached = np.concatenate((p[np.ix_(frontier, inside)].ravel(),
+                                  p[np.ix_(inside, frontier)].ravel()))
+        frontier = np.unique(reached[~closed[reached]])
+        closed[frontier] = True
 
 
 def _associative_on(p: np.ndarray, gens: list[int]) -> bool:
@@ -316,7 +349,7 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
 
 
 def idempotents(m: FiniteMagma) -> tuple[int, ...]:
-    return tuple(i for i in m.elements() if m.table[i][i] == i)
+    return tuple(np.flatnonzero(np.diagonal(m.arr) == np.arange(m.order)).tolist())
 
 
 def idempotent_subalgebra(m: FiniteMagma) -> tuple[int, ...]:
@@ -326,13 +359,11 @@ def idempotent_subalgebra(m: FiniteMagma) -> tuple[int, ...]:
     input (non-commutative or non-medial).
     """
     idem = idempotents(m)
-    members = set(idem)
-    for x in idem:
-        for y in idem:
-            z = m.table[x][y]
-            if z not in members:
-                raise ValueError(
-                    f"idempotents not closed: {x} op {y} = {z} is not idempotent")
+    sub = m.arr[np.ix_(idem, idem)]
+    hit = _first(~np.isin(sub, idem)) if idem else None
+    if hit is not None:
+        raise ValueError(f"idempotents not closed: {idem[hit[0]]} op {idem[hit[1]]} "
+                         f"= {sub[hit]} is not idempotent")
     return idem
 
 
@@ -342,18 +373,9 @@ def subalgebra_closure(m: FiniteMagma, seed: Iterable[int]) -> tuple[int, ...]:
     for x in current:
         if not 0 <= x < m.order:
             raise ValueError(f"seed element {x} out of range")
-    frontier = list(current)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in current:
-                for z in (m.table[x][y], m.table[y][x]):
-                    if z not in current:
-                        fresh.append(z)
-        for z in fresh:
-            current.add(z)
-        frontier = fresh
-    return tuple(sorted(current))
+    closed = np.zeros(m.order, dtype=bool)
+    _close(m.arr, closed, np.array(sorted(current), dtype=np.intp))
+    return tuple(np.flatnonzero(closed).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +407,7 @@ def identity_hom(m: FiniteMagma) -> Homomorphism:
 
 
 def constant_hom(source: FiniteMagma, target: FiniteMagma, value: int) -> Homomorphism:
-    if target.table[value][value] != value:
+    if target.arr[value, value] != value:
         raise ValueError(f"constant maps are homomorphisms only at idempotents; "
                          f"{value} is not idempotent")
     return Homomorphism(source, target, (value,) * source.order)
@@ -420,14 +442,9 @@ def pair_split(k: int, right_order: int) -> tuple[int, int]:
 
 def product_magma(m: FiniteMagma, n: FiniteMagma) -> FiniteMagma:
     """Componentwise operation on pairs, encoded row-major (i*|N| + j)."""
-    no = n.order
-
-    def op(a, b):
-        i1, j1 = pair_split(a, no)
-        i2, j2 = pair_split(b, no)
-        return pair_index(m.table[i1][i2], n.table[j1][j2], no)
-
-    return magma_from_function(m.order * no, op)
+    # [i1, j1, i2, j2] = pair_index(m(i1, i2), n(j1, j2))
+    pairs = m.arr[:, None, :, None] * n.order + n.arr[None, :, None, :]
+    return FiniteMagma(pairs.reshape(m.order * n.order, -1))
 
 
 def pair_hom(f1: Homomorphism, f2: Homomorphism) -> Homomorphism:
@@ -440,9 +457,7 @@ def pair_hom(f1: Homomorphism, f2: Homomorphism) -> Homomorphism:
         raise ValueError("pair_hom requires a shared target")
     b = f1.target
     prod = product_magma(f1.source, f2.source)
-    mp = tuple(b.table[f1.map[i]][f2.map[j]]
-               for i in f1.source.elements() for j in f2.source.elements())
-    h = Homomorphism(prod, b, mp)
+    h = Homomorphism(prod, b, b.arr[np.ix_(f1.map, f2.map)].ravel())
     ok, ce = is_homomorphism(h)
     if not ok:
         raise ValueError(f"pair_hom produced a non-homomorphism at {ce}; "
@@ -461,11 +476,11 @@ def derived_magma(m: FiniteMagma, g: Homomorphism, a: int) -> FiniteMagma:
         raise ValueError(f"g is not a homomorphism, counterexample {ce}")
     if not 0 <= a < m.order:
         raise ValueError("a out of range")
-    return magma_from_function(m.order, lambda x, y: m.table[g.map[m.table[x][y]]][a])
+    return FiniteMagma(m.arr[np.array(g.map)[m.arr], a])
 
 
 def weak_maltsev_p(m: FiniteMagma, x: int, y: int, z: int) -> int:
     """Ternary term (y op x) op (z op y); satisfies p(x,y,y) = p(y,y,x) and
     p(x,a,a) = p(y,a,a) implies x = y on valid tables."""
-    t = m.table
-    return t[t[y][x]][t[z][y]]
+    t = m.arr
+    return int(t[t[y, x], t[z, y]])

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (FiniteMagma, _column_inverse, _is_commutative_monoid,
-                   magma_from_function)
+                   idempotents)
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,18 @@ class AbelianGroupSpec:
     def add(self, i: int, j: int) -> int:
         return self.encode(a + b for a, b in zip(self.decode(i), self.decode(j)))
 
-    def neg(self, i: int) -> int:
-        return self.encode(-a for a in self.decode(i))
+    def _coordinates(self):
+        """(place value, factor, that coordinate of every element) per factor."""
+        k, place = np.arange(self.size), self.size
+        for f in self.factors:
+            place //= f
+            yield place, f, k // place % f
 
     @cached_property
     def addition_table(self) -> FiniteMagma:
-        return magma_from_function(self.size, self.add)
+        return FiniteMagma(sum(((c[:, None] + c) % f * place
+                                for place, f, c in self._coordinates()),
+                               np.zeros((self.size, self.size), dtype=np.intp)))
 
 
 @dataclass(frozen=True)
@@ -83,22 +89,19 @@ class ToyodaParams:
                 raise ValueError(f"multiplier {m} is not a unit mod {f}")
         if sorted(self.relabeling) != list(range(self.group.size)):
             raise ValueError("relabeling is not a permutation")
-        table = self.automorphism
-        n = self.group.size
-        if sorted(table) != list(range(n)):
+        if sorted(self.automorphism) != list(range(self.group.size)):
             raise ValueError("automorphism action is not a bijection")
-        for i in range(n):
-            for j in range(n):
-                if table[self.group.add(i, j)] != self.group.add(table[i], table[j]):
-                    raise ValueError("action table is not additive")
+        phi, add = np.array(self.automorphism), self.group.addition_table.arr
+        if not np.array_equal(phi[add], add[phi][:, phi]):
+            raise ValueError("action table is not additive")
 
     @cached_property
     def automorphism(self) -> tuple[int, ...]:
         """Action table of phi on group element indices."""
-        g = self.group
-        return tuple(
-            g.encode(m * c for m, c in zip(self.multipliers, g.decode(i)))
-            for i in range(g.size))
+        return tuple(sum(
+            (m % f * c % f * place
+             for m, (place, f, c) in zip(self.multipliers, self.group._coordinates())),
+            np.zeros(self.group.size, dtype=np.intp)).tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,16 +120,12 @@ class ToyodaParams:
 
 def toyoda_table(params: ToyodaParams) -> FiniteMagma:
     """Rebuild the quasigroup table from its parameters."""
-    g = params.group
-    phi = params.automorphism
-    c = params.translation
-    sigma = params.relabeling
-    inv_sigma = [0] * g.size
-    for i, v in enumerate(sigma):
-        inv_sigma[v] = i
-    return magma_from_function(
-        g.size,
-        lambda x, y: sigma[g.add(phi[g.add(inv_sigma[x], inv_sigma[y])], c)])
+    add = params.group.addition_table.arr
+    phi = np.array(params.automorphism, dtype=np.intp)
+    sigma = np.array(params.relabeling, dtype=np.intp)
+    inv = np.argsort(sigma)
+    # x op y = sigma(phi(inv(x) + inv(y)) + c)
+    return FiniteMagma(sigma[add[phi[add[np.ix_(inv, inv)]], params.translation % len(add)]])
 
 
 def _prime_factorization(n: int) -> dict[int, int]:
@@ -209,7 +208,7 @@ def extract_group(m: FiniteMagma, e: int) -> Optional[FiniteMagma]:
     inv = _column_inverse(m.arr, e)
     if (inv < 0).any():
         raise ValueError(f"column {e} is not injective: table is not cancellative")
-    star = FiniteMagma(inv[m.arr].tolist())
+    star = FiniteMagma(inv[m.arr])
     if not _is_abelian_group(star, e):
         return None
     return star
@@ -240,14 +239,12 @@ def element_orders(star: FiniteMagma) -> tuple[int, ...]:
 
 def _element_orders(star: FiniteMagma, e: int) -> tuple[int, ...]:
     """element_orders of a table already verified as a group with identity e."""
-    out = []
-    for x in star.elements():
-        acc, k = x, 1
-        while acc != e:
-            acc = star.table[acc][x]
-            k += 1
-        out.append(k)
-    return tuple(out)
+    x = np.arange(star.order)
+    acc, orders, k = x, np.zeros_like(x), 1
+    while not orders.all():
+        orders[(acc == e) & (orders == 0)] = k
+        acc, k = star.arr[acc, x], k + 1
+    return tuple(orders.tolist())
 
 
 def invariant_factors(star: FiniteMagma) -> list[int]:
@@ -296,5 +293,5 @@ def idempotent_parity_audit(m: FiniteMagma) -> bool:
     """Idempotent count of a valid table is 0 or odd; even counts cannot
     occur because the idempotents form a subquasigroup, and commutative
     idempotent quasigroups have odd order."""
-    count = sum(1 for i in m.elements() if m.table[i][i] == i)
+    count = len(idempotents(m))
     return count == 0 or count % 2 == 1

@@ -12,10 +12,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import (FiniteMagma, Homomorphism, compose, identity_hom,
-                   is_homomorphism, magma_from_function, pair_index,
-                   subalgebra_closure, _first)
-from .structures import double_table
+from .core import (FiniteMagma, Homomorphism, ParseError, compose,
+                   identity_hom, is_homomorphism, subalgebra_closure,
+                   _column_inverse, _content_lines, _first)
 
 
 @dataclass(frozen=True)
@@ -29,9 +28,8 @@ class BinaryRelation:
         object.__setattr__(self, "member", rows)
         if len(rows) != self.left.order:
             raise ValueError("member grid row count must equal left order")
-        for row in rows:
-            if len(row) != self.right.order:
-                raise ValueError("member grid column count must equal right order")
+        if any(len(row) != self.right.order for row in rows):
+            raise ValueError("member grid column count must equal right order")
 
     def holds(self, a: int, b: int) -> bool:
         return self.member[a][b]
@@ -134,9 +132,7 @@ def identity_relation(m: FiniteMagma) -> BinaryRelation:
 
 
 def full_relation(left: FiniteMagma, right: FiniteMagma) -> BinaryRelation:
-    return BinaryRelation(left, right,
-                          tuple(tuple(True for _ in right.elements())
-                                for _ in left.elements()))
+    return BinaryRelation(left, right, np.ones((left.order, right.order), dtype=bool))
 
 
 def format_relation(r: BinaryRelation) -> str:
@@ -146,11 +142,28 @@ def format_relation(r: BinaryRelation) -> str:
 
 
 def parse_relation_grid(text: str) -> tuple[int, int, tuple[tuple[bool, ...], ...]]:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    rows, cols = (int(p) for p in lines[0].split())
-    grid = tuple(tuple(p == "1" for p in ln.split()) for ln in lines[1:rows + 1])
-    return rows, cols, grid
+    """Inverse of format_relation; malformed text raises ParseError naming
+    the first bad line, as parse_magma does."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty input")
+    lineno, head = lines[0]
+    try:
+        rows, cols = (int(p) for p in head.split())
+    except ValueError:
+        raise ParseError(f"line {lineno}: sizes {head!r} are not two integers") from None
+    if len(lines) - 1 != rows:
+        raise ParseError(f"expected {rows} rows, found {len(lines) - 1}")
+    grid = []
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != cols:
+            raise ParseError(f"line {lineno}: expected {cols} entries, found {len(parts)}")
+        bad = next((p for p in parts if p not in ("0", "1")), None)
+        if bad is not None:
+            raise ParseError(f"line {lineno}: entry {bad!r} is not 0 or 1")
+        grid.append(tuple(p == "1" for p in parts))
+    return rows, cols, tuple(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +181,8 @@ def equalizer_relation(x: FiniteMagma, y: FiniteMagma,
         raise ValueError("f and g must share the product source")
     if f.source.order != x.order * y.order:
         raise ValueError("source order does not match the factors")
-    member = tuple(
-        tuple(f.map[pair_index(a, b, y.order)] == g.map[pair_index(a, b, y.order)]
-              for b in y.elements())
-        for a in x.elements())
+    # pair (a, b) has index a * |y| + b
+    member = np.equal(f.map, g.map).reshape(x.order, y.order)
     return BinaryRelation(x, y, member)
 
 
@@ -182,30 +193,29 @@ def _check_subalgebra_inputs(m: FiniteMagma, xs: Iterable[int], e: int) -> tuple
         raise ValueError(f"{list(xset)} is not closed; its closure is {list(closed)}")
     if e not in xset:
         raise ValueError(f"unit {e} is not in the subalgebra")
-    if m.table[e][e] != e:
+    if m.arr[e, e] != e:
         raise ValueError(f"unit {e} is not idempotent")
     return xset
 
 
+def _witness_grid(m: FiniteMagma, xs: Iterable[int], e: int) -> np.ndarray:
+    """[a, b] = the smallest x in the subalgebra with a op e = x op b, or -1."""
+    t, grid = m.arr, np.full((m.order, m.order), -1, dtype=np.intp)
+    for x in reversed(_check_subalgebra_inputs(m, xs, e)):
+        grid[t[:, e, None] == t[x]] = x
+    return grid
+
+
 def subalgebra_relation(m: FiniteMagma, xs: Iterable[int], e: int) -> BinaryRelation:
     """aRb iff a op e = x op b for some x in the subalgebra."""
-    xset = _check_subalgebra_inputs(m, xs, e)
-    t = m.table
-    member = tuple(
-        tuple(any(t[a][e] == t[x][b] for x in xset) for b in m.elements())
-        for a in m.elements())
-    return BinaryRelation(m, m, member)
+    return BinaryRelation(m, m, _witness_grid(m, xs, e) >= 0)
 
 
 def subalgebra_witnesses(m: FiniteMagma, xs: Iterable[int],
                          e: int) -> tuple[tuple[Optional[int], ...], ...]:
     """First witness x (in increasing order) per related pair, None elsewhere."""
-    xset = _check_subalgebra_inputs(m, xs, e)
-    t = m.table
-    return tuple(
-        tuple(next((x for x in xset if t[a][e] == t[x][b]), None)
-              for b in m.elements())
-        for a in m.elements())
+    return tuple(tuple(None if x < 0 else x for x in row)
+                 for row in _witness_grid(m, xs, e).tolist())
 
 
 def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
@@ -216,26 +226,14 @@ def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
     Cross-checked against direct transitivity of the induced relation.
     """
     xset = _check_subalgebra_inputs(m, xs, e)
-    t = m.table
-    dt = double_table(m, e)
-    holds = True
-    for x in xset:
-        for y in xset:
-            z = dt[t[x][y]]
-            z_ok = z is not None and z in xset
-            if z_ok:
-                continue
-            for c in m.elements():
-                b = dt[t[y][c]]
-                if b is None:
-                    continue
-                if dt[t[x][b]] is not None:
-                    holds = False
-                    break
-            if not holds:
-                break
-        if not holds:
-            break
+    xa, t = np.array(xset), m.arr
+    # d[i, c] = the b with b op e = xset[i] op c, or -1
+    d = _column_inverse(t, e)[t[xa]]
+    reach = np.zeros(d.shape, dtype=bool)
+    reach[np.nonzero(d >= 0)[0], d[d >= 0]] = True
+    # [x, y]: some b solves b op e = y op c (some c) with x op b solvable
+    chained = (d >= 0).astype(np.intp) @ reach.T.astype(np.intp) > 0
+    holds = not (chained & ~np.isin(d[:, xa], xa)).any()
     direct, _ = subalgebra_relation(m, xset, e).is_transitive()
     if holds != direct:
         raise AssertionError(
@@ -319,21 +317,16 @@ def build_pullback(k: KiteInput) -> PullbackSpan:
     """Pullback carrier with componentwise operation, projections, and the
     injections a -> (a, s f a), c -> (r g c, c)."""
     carrier = pullback_pairs(k.f, k.g)
-    index = {pair: i for i, pair in enumerate(carrier)}
-    ta, tc = k.A.table, k.C.table
-
-    def op(i, j):
-        a1, c1 = carrier[i]
-        a2, c2 = carrier[j]
-        pair = (ta[a1][a2], tc[c1][c2])
-        if pair not in index:
-            raise ValueError("pullback carrier is not closed; inputs are not "
-                             "homomorphisms")
-        return index[pair]
-
-    magma = magma_from_function(len(carrier), op)
-    pi1 = Homomorphism(magma, k.A, tuple(a for a, _ in carrier))
-    pi2 = Homomorphism(magma, k.C, tuple(c for _, c in carrier))
+    left, right = np.array(carrier, dtype=np.intp).reshape(-1, 2).T
+    index = np.full((k.A.order, k.C.order), -1, dtype=np.intp)
+    index[left, right] = np.arange(len(carrier))
+    table = index[k.A.arr[np.ix_(left, left)], k.C.arr[np.ix_(right, right)]]
+    if (table < 0).any():
+        raise ValueError("pullback carrier is not closed; inputs are not "
+                         "homomorphisms")
+    magma = FiniteMagma(table)
+    pi1 = Homomorphism(magma, k.A, left)
+    pi2 = Homomorphism(magma, k.C, right)
     e1 = Homomorphism(k.A, magma,
                       tuple(index[(a, k.s.map[k.f.map[a]])] for a in k.A.elements()))
     e2 = Homomorphism(k.C, magma,
@@ -353,19 +346,19 @@ def kite_theta(k: KiteInput) -> Optional[Homomorphism]:
     searched); returns None when some pair has no solution.
     """
     span = build_pullback(k)
-    td = k.D.table
-    theta = []
-    for a, c in span.carrier:
-        b = k.f.map[a]
-        rhs = td[k.u.map[a]][k.w.map[c]]
-        vb = k.v.map[b]
-        solutions = [x for x in k.D.elements() if td[x][vb] == rhs]
-        if len(solutions) > 1:
+    td = k.D.arr
+    f, u, v, w = (np.array(h.map, dtype=np.intp) for h in (k.f, k.u, k.v, k.w))
+    a, c = np.array(span.carrier, dtype=np.intp).reshape(-1, 2).T
+    vb, rhs = v[f[a]], td[u[a], w[c]]
+    # the smallest and the largest x with x op v(b) = rhs, per pair
+    first = np.array([_column_inverse(td, y) for y in k.D.elements()])[vb, rhs]
+    last = np.array([_column_inverse(td[::-1], y) for y in k.D.elements()])[vb, rhs]
+    hit = _first((first < 0) | (first != len(td) - 1 - last))
+    if hit is not None:
+        if first[hit] >= 0:
             raise ValueError("multiple solutions: D is not cancellative")
-        if not solutions:
-            return None
-        theta.append(solutions[0])
-    h = Homomorphism(span.magma, k.D, tuple(theta))
+        return None
+    h = Homomorphism(span.magma, k.D, first)
     ok, ce = is_homomorphism(h)
     if not ok:
         raise AssertionError(f"theta failed the homomorphism check at {ce}")

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (FiniteMagma, Homomorphism, _associativity_violation,
-                   _column_inverse, _generators, _is_commutative_monoid)
+                   _column_inverse, _first, _first_sliced, _generators,
+                   _is_commutative_monoid, idempotents)
 
 
 class NotIdempotentError(ValueError):
@@ -59,10 +60,14 @@ def is_homogeneous(m: FiniteMagma) -> bool:
 class MonoidStructure:
     base: FiniteMagma
     unit: int
-    star: tuple[tuple[int, ...], ...]
+    magma: FiniteMagma  # the star operation
+
+    @property
+    def star(self) -> tuple[tuple[int, ...], ...]:
+        return self.magma.table
 
     def as_magma(self) -> FiniteMagma:
-        return FiniteMagma(self.star)
+        return self.magma
 
     def __repr__(self):
         return f"MonoidStructure(order={self.base.order}, unit={self.unit})"
@@ -102,7 +107,7 @@ def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
     Returns None when some pair has no solution; raises NotIdempotentError
     when e is not idempotent (a distinct outcome, not absence).
     """
-    if m.table[e][e] != e:
+    if m.arr[e, e] != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
     star = _column_inverse(m.arr, e)[m.arr]
     if (star < 0).any():
@@ -110,7 +115,7 @@ def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
     if not _monoid_invariants_hold(m, e, star):
         raise ValueError("constructed star table violates monoid invariants; "
                          "the base table is not a valid ccm-magma")
-    return MonoidStructure(base=m, unit=e, star=tuple(map(tuple, star.tolist())))
+    return MonoidStructure(base=m, unit=e, magma=FiniteMagma(star))
 
 
 def internal_group(m: FiniteMagma, e: int) -> Optional[GroupStructure]:
@@ -126,12 +131,12 @@ def _group_over(mon: MonoidStructure) -> Optional[GroupStructure]:
     if not hits.any(axis=0).all():
         return None
     # negate(m, e, a) for every a: the smallest x with x op a = e
-    inverse = tuple(np.argmax(hits, axis=0).tolist())
-    for a, x in enumerate(inverse):
-        if mon.star[x][a] != e:
-            raise ValueError(f"negation at {a} is not a star-inverse; "
-                             "the base table is not a valid ccm-magma")
-    return GroupStructure(monoid=mon, inverse=inverse)
+    inverse = np.argmax(hits, axis=0)
+    bad = np.flatnonzero(mon.magma.arr[inverse, np.arange(m.order)] != e)
+    if bad.size:
+        raise ValueError(f"negation at {bad[0]} is not a star-inverse; "
+                         "the base table is not a valid ccm-magma")
+    return GroupStructure(monoid=mon, inverse=tuple(inverse.tolist()))
 
 
 def monoid_isomorphism(m: FiniteMagma, u: int, v: int) -> Homomorphism:
@@ -141,29 +146,30 @@ def monoid_isomorphism(m: FiniteMagma, u: int, v: int) -> Homomorphism:
     a -> double(v, a op u) is a two-sided inverse, and the interchange
     identity star_u(a,b) = star_u(star_v(a,b), v) for all pairs.
     """
-    if m.table[u][u] != u:
-        raise NotIdempotentError(f"element {u} is not idempotent")
-    if m.table[v][v] != v:
-        raise NotIdempotentError(f"element {v} is not idempotent")
-    mon_u = internal_monoid(m, u)
-    mon_v = internal_monoid(m, v)
+    t = m.arr
+    for w in (u, v):
+        if t[w, w] != w:
+            raise NotIdempotentError(f"element {w} is not idempotent")
+    mon_u, mon_v = internal_monoid(m, u), internal_monoid(m, v)
     if mon_u is None or mon_v is None:
         raise ValueError("monoid structure missing; table is not homogeneous")
-    du = double_table(m, u)
-    dv = double_table(m, v)
-    f = tuple(du[m.table[a][v]] for a in m.elements())
-    g = tuple(dv[m.table[a][u]] for a in m.elements())
+    # both monoids exist, so columns u and v reach every value of t
+    f = _column_inverse(t, u)[t[:, v]]
+    g = _column_inverse(t, v)[t[:, u]]
     if f[u] != v:
         raise ValueError("isomorphism does not send u to v")
-    su, sv = mon_u.star, mon_v.star
-    for a in m.elements():
-        if g[f[a]] != a or f[g[a]] != a:
+    su, sv, idx = mon_u.magma.arr, mon_v.magma.arr, np.arange(m.order)
+    # row a: [inverse check, then per b the homomorphism law and the
+    # interchange identity], so the first hit is the first failure in order
+    laws = np.stack((f[su] != sv[np.ix_(f, f)], su != su[sv, v]), axis=2)
+    hit = _first(np.column_stack(((g[f] != idx) | (f[g] != idx), laws.reshape(len(idx), -1))))
+    if hit is not None:
+        a, j = hit
+        if j == 0:
             raise ValueError("doubling maps are not mutually inverse")
-        for b in m.elements():
-            if f[su[a][b]] != sv[f[a]][f[b]]:
-                raise ValueError(f"homomorphism law fails at ({a}, {b})")
-            if su[a][b] != su[sv[a][b]][v]:
-                raise ValueError(f"interchange identity fails at ({a}, {b})")
+        b, law = divmod(j - 1, 2)
+        raise ValueError(f"{('homomorphism law', 'interchange identity')[law]} "
+                         f"fails at ({a}, {b})")
     return Homomorphism(mon_u.as_magma(), mon_v.as_magma(), f)
 
 
@@ -194,11 +200,11 @@ def associativity_equivalences(m: FiniteMagma, e: int) -> AssociativityReport:
     """Evaluate independently: op associative; e a unit for op; doubling at e
     the identity; (m, op, e) satisfying the monoid invariants.  The four are
     equal on valid tables and that equality is asserted."""
-    if m.table[e][e] != e:
-        raise NotIdempotentError(f"element {e} is not idempotent")
     t = m.arr
+    if t[e, e] != e:
+        raise NotIdempotentError(f"element {e} is not idempotent")
     assoc = _associativity_violation(t) is None
-    unit = all(m.table[e][x] == x for x in m.elements())
+    unit = np.array_equal(t[e], np.arange(m.order))
     dbl = double_table(m, e) == tuple(m.elements())
     monoid_direct = _monoid_invariants_hold(m, e, t.copy())
     rep = AssociativityReport(assoc, unit, dbl, monoid_direct)
@@ -215,11 +221,11 @@ def midpoint_distributivity_check(m: FiniteMagma,
     """
     if s.base != m:
         raise ValueError("monoid structure was built over a different table")
-    all_idem = all(m.table[i][i] == i for i in m.elements())
-    star = np.array(s.star, dtype=np.intp)
-    t = m.arr
-    distributive = bool(np.array_equal(star[:, t], t[star[:, :, None], star[:, None, :]]))
-    # star[:,t][x,y,z] = star(x, y op z); rhs[x,y,z] = star(x,y) op star(x,z)
+    all_idem = len(idempotents(m)) == m.order
+    star, t = s.magma.arr, m.arr
+    # slice x: [y, z] = star(x, y op z)  vs  star(x, y) op star(x, z)
+    distributive = _first_sliced(
+        m.order, lambda x: star[x][t] != t[np.ix_(star[x], star[x])]) is None
     if all_idem != distributive:
         raise ValueError("distributivity and idempotency flags disagree; "
                          "table is not a valid ccm-magma")
@@ -265,7 +271,7 @@ def classify(expansive: bool, symmetric: bool, monoid: bool,
 def classify_finite(m: FiniteMagma, e: int) -> ClassificationLabel:
     """Classification of a finite table at idempotent e, computed from
     scratch (always I on valid input, but never hard-coded)."""
-    if m.table[e][e] != e:
+    if m.arr[e, e] != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
     exp = is_expansive(m, e)
     sym = is_symmetric(m, e)

@@ -15,7 +15,7 @@ from ccmagma.core import (FiniteMagma, Homomorphism, ParseError,
                           subalgebra_closure, weak_maltsev_p)
 from ccmagma.generation import (extract_group, generate_quasigroup,
                                 idempotent_parity_audit)
-from ccmagma.structures import internal_monoid
+from ccmagma.structures import internal_monoid, midpoint_distributivity_check
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
 from _brute import brute_axioms, brute_monoid_invariants, brute_star
@@ -57,6 +57,12 @@ class TestParse:
     def test_comments_and_whitespace(self):
         text = "# comment\n3   \n0 2 1\n# mid comment\n2 1 0   \n1 0 2\n"
         assert parse_magma(text) == A2
+
+    def test_non_canonical_integers(self):
+        # anything int() reads is an entry, as in the per-line parser
+        assert parse_magma("3\n00 +2 1\n2 1 0\n1 0 \uff12") == A2
+        with pytest.raises(ParseError, match="line 2: entry 10 >= order 2"):
+            parse_magma("2\n0 1_0\n1 0")
 
     def test_format_round_trip(self):
         for m in FINITE_FIXTURES.values():
@@ -266,6 +272,8 @@ class TestCheckAxioms:
         calls = [lambda: check_axioms(m)]
         if defect is None:
             calls.append(lambda: internal_monoid(m, idempotents(m)[0]))
+            mon = internal_monoid(m, idempotents(m)[0])
+            calls.append(lambda: midpoint_distributivity_check(m, mon))
         for call in calls:
             tracemalloc.start()
             try:

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from ccmagma import fixtures
-from ccmagma.core import (Homomorphism, constant_hom, identity_hom,
-                          is_homomorphism, pair_hom, product_magma)
+from ccmagma.core import (FiniteMagma, Homomorphism, ParseError, constant_hom,
+                          identity_hom, is_homomorphism, pair_hom, product_magma)
 from ccmagma.relations import (BinaryRelation, KiteInput, build_pullback,
                                equalizer_relation, format_relation,
                                full_relation, identity_relation, kite_theta,
@@ -98,6 +98,27 @@ class TestSerialization:
     def test_header_layout(self):
         text = format_relation(identity_relation(A2))
         assert text.splitlines()[0] == "3 3"
+
+    def test_comments_and_blank_lines(self):
+        text = "# relation\n2 3\n\n1 0 1\n# mid\n0 0 1\n"
+        assert parse_relation_grid(text) == (
+            2, 3, ((True, False, True), (False, False, True)))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("# nothing\n  \n", "empty input"),
+        ("3\n1 0 0", "line 1: sizes '3' are not two integers"),
+        ("a b\n1", "line 1: sizes 'a b' are not two integers"),
+        ("2 2\n1 0", "expected 2 rows, found 1"),
+        ("2 2\n1 0\n0 1\n1 1", "expected 2 rows, found 3"),
+        ("2 2\n1 0\n0", "line 3: expected 2 entries, found 1"),
+        ("2 2\n1 2\n0 1", "line 2: entry '2' is not 0 or 1"),
+        ("2 2\n1 0\n# c\n0 yes", "line 4: entry 'yes' is not 0 or 1"),
+    ])
+    def test_malformed_grids_raise(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_relation_grid(text)
+        assert str(info.value) == message
 
 
 class TestEqualizer:
@@ -288,7 +309,32 @@ class TestPullback:
                       u=ident, v=ident, w=ident)
 
 
+def _two_element_kite(table, unit):
+    """Kite over the singleton B with A = C = D = the two-element table and
+    u = w = identity, v and both sections picking the idempotent unit."""
+    d = FiniteMagma(table)
+    one = fixtures.singleton()
+    to_one = constant_hom(d, one, 0)
+    pick = Homomorphism(one, d, (unit,))
+    ident = identity_hom(d)
+    return KiteInput(f=to_one, r=pick, g=to_one, s=pick, u=ident, v=pick, w=ident)
+
+
 class TestKiteTheta:
+    def test_unsolvable_pair_gives_none(self):
+        # x or 1 = 1 never equals 0 = 0 or 0, the first pair's right side
+        assert kite_theta(_two_element_kite(((0, 1), (1, 1)), 1)) is None
+
+    def test_non_cancellative_target_raises(self):
+        # x and 0 = 0 = 0 and 0 for both x at the first pair
+        with pytest.raises(ValueError, match="multiple solutions"):
+            kite_theta(_two_element_kite(((0, 0), (0, 1)), 0))
+
+    def test_unique_solutions_on_two_elements(self):
+        # x and 1 = x: theta(a, c) = a and c
+        theta = kite_theta(_two_element_kite(((0, 0), (0, 1)), 1))
+        assert theta.map == (0, 0, 0, 1)
+
     def test_corollary_specialization_matches_star(self):
         k = TestPullback().make_corollary_kite(F5A, 0)
         theta = kite_theta(k)

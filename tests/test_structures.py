@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
-from ccmagma import fixtures
-from ccmagma.core import compose, idempotents
+from ccmagma import fixtures, structures
+from ccmagma.core import FiniteMagma, compose, idempotents
+from ccmagma.generation import generate_quasigroup
 from ccmagma.structures import (NotIdempotentError, associativity_equivalences,
                                 classify, classify_finite, double, double_table,
                                 doubling_additivity_check, internal_group,
                                 internal_monoid, is_expansive, is_homogeneous,
                                 is_symmetric, midpoint_distributivity_check,
-                                monoid_isomorphism, negate)
+                                monoid_isomorphism, negate, MonoidStructure)
 from ccmagma.generation import invariant_factors
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
@@ -126,6 +129,79 @@ class TestMonoidIsomorphism:
     def test_rejects_non_idempotent(self):
         with pytest.raises(NotIdempotentError):
             monoid_isomorphism(Z9A, 0, 1)
+
+    def test_failure_messages_name_the_first_failing_pair(self, monkeypatch):
+        # internal_monoid verifies its own star, so broken stars and tables
+        # only reach the checks through a stand-in; the messages must name
+        # the same first failure as the exhaustive loop in _iso_failure
+        real = structures.internal_monoid
+        rng = random.Random(3)
+        cases = [(m, u, v) for m in (A2, Z9A, generate_quasigroup(15, 4)[0])
+                 for u in idempotents(m) for v in idempotents(m)]
+        seen = set()
+        for trial in range(300):
+            m, u, v = rng.choice(cases)
+            rows = [list(r) for r in m.table]
+            stars = {w: [list(r) for r in real(m, w).star] for w in (u, v)}
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.randrange(m.order), rng.randrange(m.order)
+                if rng.random() < 0.3:
+                    # drop one value z from both columns u and v: the
+                    # doubling maps stay total but need not be inverse
+                    z = rng.randrange(m.order)
+                    for c in (u, v):
+                        x = next((x for x in range(m.order) if rows[x][c] == z), None)
+                        if x is not None:
+                            rows[x][c] = rng.choice([y for y in range(m.order) if y != z])
+                else:
+                    grid = rng.choice([rows, stars[u], stars[v]])
+                    grid[a][b] = rng.randrange(m.order)
+            if any(rows[w][w] != w for w in (u, v)):
+                continue
+            broken = FiniteMagma(rows)
+            fake = {w: MonoidStructure(broken, w, FiniteMagma(stars[w])) for w in (u, v)}
+            monkeypatch.setattr(structures, "internal_monoid", lambda _, w: fake[w])
+            expected = _iso_failure(rows, u, v, stars[u], stars[v])
+            if expected is _SKIP:
+                continue
+            if expected is None:
+                assert monoid_isomorphism(broken, u, v).map is not None
+            else:
+                with pytest.raises(ValueError) as info:
+                    monoid_isomorphism(broken, u, v)
+                assert str(info.value) == expected
+            seen.add(None if expected is None else expected.split(" fails")[0])
+        assert {"doubling maps are not mutually inverse", "homomorphism law",
+                "interchange identity"} <= seen
+
+
+_SKIP = object()
+
+
+def _iso_failure(t, u, v, su, sv):
+    """The first failed check of monoid_isomorphism, in its documented
+    order, by exhaustive loops; _SKIP where a doubling map is partial."""
+    n = len(t)
+
+    def solve(col, a):
+        hits = [x for x in range(n) if t[x][col] == a]
+        return hits[0] if hits else None
+
+    f = [solve(u, t[a][v]) for a in range(n)]
+    g = [solve(v, t[a][u]) for a in range(n)]
+    if None in f or None in g:
+        return _SKIP
+    if f[u] != v:
+        return "isomorphism does not send u to v"
+    for a in range(n):
+        if g[f[a]] != a or f[g[a]] != a:
+            return "doubling maps are not mutually inverse"
+        for b in range(n):
+            if f[su[a][b]] != sv[f[a]][f[b]]:
+                return f"homomorphism law fails at ({a}, {b})"
+            if su[a][b] != su[sv[a][b]][v]:
+                return f"interchange identity fails at ({a}, {b})"
+    return None
 
 
 class TestDoublingAdditivity:
