@@ -87,19 +87,17 @@ def magma_from_function(n: int, fn) -> FiniteMagma:
 # lines starting with '#' are comments.  The writer output is bit-stable.
 
 def parse_magma(text: str) -> FiniteMagma:
-    """One vectorised pass over canonically written text; on anything else
-    the per-line parser below runs, and names the first bad line."""
+    """One vectorised pass over the text; on any anomaly the per-line
+    checks below run to name the first bad line."""
     lines = _content_lines(text)
     try:
         (_, head), *body = lines
         n = int(head)
         rows = [line.split() for _, line in body]
         if len(rows) == n and all(len(row) == n for row in rows):
-            # a lookup of "0".."n-1" is faster than int(); other tokens give None
-            index = {str(v): v for v in range(n)}
-            cells = np.array(list(map(index.get, chain.from_iterable(rows))), dtype=np.intp)
+            cells = np.array(list(map(int, chain.from_iterable(rows))), dtype=np.intp)
             return FiniteMagma(cells.reshape(n, n))
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):
         pass
     if not lines:
         raise ParseError("empty input")
@@ -124,7 +122,7 @@ def parse_magma(text: str) -> FiniteMagma:
             if not 0 <= v < n:
                 raise ParseError(f"line {lineno}: entry {v} >= order {n}" if v >= 0
                                  else f"line {lineno}: entry {v} is negative")
-    return FiniteMagma([list(map(int, line.split())) for _, line in body])
+    raise AssertionError("unreachable: the vectorised pass accepts every valid table")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

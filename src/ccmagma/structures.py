@@ -150,7 +150,8 @@ def monoid_isomorphism(m: FiniteMagma, u: int, v: int) -> Homomorphism:
     for w in (u, v):
         if t[w, w] != w:
             raise NotIdempotentError(f"element {w} is not idempotent")
-    mon_u, mon_v = internal_monoid(m, u), internal_monoid(m, v)
+    mon_u = internal_monoid(m, u)
+    mon_v = internal_monoid(m, v)
     if mon_u is None or mon_v is None:
         raise ValueError("monoid structure missing; table is not homogeneous")
     # both monoids exist, so columns u and v reach every value of t
