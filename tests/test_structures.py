@@ -5,12 +5,13 @@ import pytest
 from ccmagma import fixtures, structures
 from ccmagma.core import FiniteMagma, compose, idempotents
 from ccmagma.generation import generate_quasigroup
-from ccmagma.structures import (NotIdempotentError, associativity_equivalences,
-                                classify, classify_finite, double, double_table,
+from ccmagma.structures import (MonoidStructure, NotIdempotentError,
+                                associativity_equivalences, classify,
+                                classify_finite, double, double_table,
                                 doubling_additivity_check, internal_group,
                                 internal_monoid, is_expansive, is_homogeneous,
                                 is_symmetric, midpoint_distributivity_check,
-                                monoid_isomorphism, negate, MonoidStructure)
+                                monoid_isomorphism, negate)
 from ccmagma.generation import invariant_factors
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
@@ -139,7 +140,7 @@ class TestMonoidIsomorphism:
         cases = [(m, u, v) for m in (A2, Z9A, generate_quasigroup(15, 4)[0])
                  for u in idempotents(m) for v in idempotents(m)]
         seen = set()
-        for trial in range(300):
+        for _ in range(300):
             m, u, v = rng.choice(cases)
             rows = [list(r) for r in m.table]
             stars = {w: [list(r) for r in real(m, w).star] for w in (u, v)}
