@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -180,6 +182,19 @@ class TestSampledAxioms:
                                   classify_too=False)
         assert rep.m1_ok and rep.m2_ok and rep.m3_ok
         assert rep.worst_residual <= 1e-9
+
+
+def test_sample_report_digest():
+    # worst_residual is left out so the digest does not depend on the
+    # platform's libm; the brute oracle compares residuals exactly
+    h = hashlib.sha256()
+    for fid in sorted(CATALOG):
+        for g in range(2, 9):
+            d = sampled_axiom_check(CATALOG[fid], denominator=g).to_dict()
+            d.pop("worst_residual")
+            h.update((json.dumps(d, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == (
+        "dcd616658e57b755244990e545171e8f067fd6936e44c310d6e97346f5b51bbb")
 
 
 NON_CLOSED = [
