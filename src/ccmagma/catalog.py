@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .structures import ClassificationLabel, classify
 
 Number = Union[Fraction, float]
@@ -88,14 +90,6 @@ NATURALS0 = Interval(0, None, integral=True)
 _EndT = tuple[int, Optional[Fraction], bool]
 
 
-def _point_in(iv: Interval, x: Fraction) -> bool:
-    if iv.lo is not None and (x < iv.lo or (iv.lo_open and x == iv.lo)):
-        return False
-    if iv.hi is not None and (x > iv.hi or (iv.hi_open and x == iv.hi)):
-        return False
-    return True
-
-
 def _order_ends(e1: _EndT, e2: _EndT) -> tuple[_EndT, _EndT]:
     def key(e):
         kind, value, _ = e
@@ -141,8 +135,8 @@ def mobius_maps_into(src: Interval, dst: Interval, p, q, r, s) -> bool:
 
     Poles inside src (including closed endpoints) fail; a pole sitting at an
     open endpoint turns into a one-sided infinite limit.  Integer-lattice
-    targets are supported for the affine case only, which is all the catalog
-    needs.
+    targets are supported for affine maps only, and integer-lattice sources
+    for affine and constant maps only, which is all the catalog needs.
     """
     p, q, r, s = (Fraction(v) for v in (p, q, r, s))
     if src.lo is not None and src.lo == src.hi:
@@ -176,9 +170,12 @@ def mobius_maps_into(src: Interval, dst: Interval, p, q, r, s) -> bool:
         pole = -s / r
         det = p * s - q * r
         if det == 0:
-            if _point_in(src, pole):
+            if src.contains(pole):
                 return False
             return dst.contains(p / r)
+        if src.integral:
+            # the image of a lattice is no interval, so its ends decide nothing
+            raise NotImplementedError("mobius totality over integer lattices")
         lo_in = src.lo is None or pole > src.lo or (pole == src.lo and not src.lo_open)
         hi_in = src.hi is None or pole < src.hi or (pole == src.hi and not src.hi_open)
         if lo_in and hi_in:
@@ -467,6 +464,11 @@ class ParametricFamily:
         x, y = self._coerce(x), self._coerce(y)
         if not self.domain.contains(x) or not self.domain.contains(y):
             raise DomainError(f"{self.id}: inputs ({x}, {y}) outside {self.domain}")
+        return self._product(x, y)
+
+    def _product(self, x: Number, y: Number) -> Number:
+        """x op y for inputs already coerced and known to lie in the carrier;
+        the result is still checked, since an escape is a closure violation."""
         v = self.shape.evaluate_raw(x, y)
         if not self.domain.contains(v):
             raise ClosureError(f"{self.id}: result {v} escaped {self.domain}")
@@ -634,35 +636,30 @@ class SampleReport:
         }
 
 
-def _pair_table(fam: ParametricFamily, pts: Sequence[Number]) -> tuple[list, list]:
+def _pair_table(fam: ParametricFamily, pts: Sequence[Number]) -> tuple[np.ndarray, list]:
     """Every ordered product of the samples, evaluated once.
 
-    Returns (table, values): table[i][j] is the id of fam.evaluate(pts[i],
-    pts[j]) in values, or None where that product escapes the carrier.
-    Equal products share one id; in float mode -0.0 and 0.0 stay apart.
+    Returns (table, values): table is an s x s intp array whose entry [i, j]
+    is the id of fam.evaluate(pts[i], pts[j]) in values, or -1 where that
+    product escapes the carrier.  Equal products share one id; in float mode
+    -0.0 and 0.0 stay apart.
     """
     floats = fam.mode == "float"
     ids: dict = {}
     values: list = []
-    table = []
-    for x in pts:
-        row = []
-        for y in pts:
+    table = np.full((len(pts), len(pts)), -1, dtype=np.intp)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
             try:
                 v = fam.evaluate(x, y)
             except ClosureError:
-                row.append(None)
                 continue
             k = ids.setdefault((v, math.copysign(1.0, v)) if floats else v,
                                len(values))
             if k == len(values):
                 values.append(v)
-            row.append(k)
-        table.append(row)
+            table[i, j] = k
     return table, values
-
-
-_UNSET = object()   # a product of two products, not evaluated yet
 
 
 def sampled_axiom_check(fam: ParametricFamily,
@@ -675,9 +672,11 @@ def sampled_axiom_check(fam: ParametricFamily,
 
     Each distinct ordered product is evaluated once per call: products of
     samples come from _pair_table, products of two such products from a
-    dense table over their ids, filled as the quadruple loop reaches them.
-    Every lookup of a product that escapes the carrier counts one closure
-    violation, exactly as one failing evaluation per call site would.
+    u x u table over their ids, filled one slice of quadruples (a, b, c, d)
+    per a, in the order the lexicographic quadruple loop first needs them,
+    so that an exception other than ClosureError comes from the same
+    product.  Every lookup of a product that escapes the carrier counts one
+    closure violation, exactly as one failing evaluation per call site would.
     """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
@@ -685,12 +684,13 @@ def sampled_axiom_check(fam: ParametricFamily,
     closure = 0
     m1 = m2 = m3 = True
     pairs, values = _pair_table(fam, pts)
+    rows = pairs.tolist()
 
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
-            vi, wi = pairs[i][j], pairs[j][i]
-            if vi is None or wi is None:
-                closure += (vi is None) + (wi is None)
+            vi, wi = rows[i][j], rows[j][i]
+            if vi < 0 or wi < 0:
+                closure += (vi < 0) + (wi < 0)
                 m1 = False
                 continue
             v, w = values[vi], values[wi]
@@ -711,46 +711,53 @@ def sampled_axiom_check(fam: ParametricFamily,
                 residual = abs(fam.evaluate(got, y) - v)
                 worst = max(worst, residual)
                 m2 = m2 and residual <= FLOAT_TOL
-    # products[p][q] = op(values[p], values[q]), or None outside the carrier
-    products = [[_UNSET] * len(values) for _ in values]
 
-    def op(p, q):
-        try:
-            return fam.evaluate(values[p], values[q])
-        except ClosureError:
-            return None
-
-    for row_a in pairs:
-        for ab, row_b in zip(row_a, pairs):
-            if ab is None:
-                closure += 1
+    # second[p * u + q] is -2 until op(values[p], values[q]) is evaluated,
+    # then -1 if it escaped the carrier, else the id of its value: equal
+    # Fractions share an id in exact mode; in float mode the id is p * u + q
+    # and the value sits in seconds[p * u + q]
+    s, u = len(pts), len(values)
+    second = np.full(u * u, -2, dtype=np.intp)
+    interned: dict = {}
+    seconds = np.empty(0 if exact else u * u)
+    for row in pairs:                         # one slice per a
+        live = row >= 0                       # the b (and c) with ab live
+        nb = int(live.sum())
+        closure += (s - nb) * (1 + nb)        # each escaped ab, ac per live b
+        sub, ids = pairs[live], row[live]
+        escaped = int((sub < 0).sum())        # escaped cd over live c and d
+        closure += 2 * nb * escaped           # cd per live b, bd per live c
+        m3 = m3 and not (nb and escaped)
+        # (b, c, d) over live b and c, in loop order
+        cd, bd = sub[None, :, :], sub[:, None, :]
+        mask = (cd >= 0) & (bd >= 0)
+        lhs = (ids[:, None, None] * u + cd)[mask]
+        rhs = (ids[None, :, None] * u + bd)[mask]
+        need = np.stack((lhs, rhs), axis=1).ravel()
+        keys, first = np.unique(need, return_index=True)
+        keys = keys[np.argsort(first)]
+        for k in keys[second[keys] == -2].tolist():
+            try:
+                v = fam._product(values[k // u], values[k % u])
+            except ClosureError:
+                second[k] = -1
                 continue
-            ab_times = products[ab]
-            for ac, row_c in zip(row_a, pairs):
-                if ac is None:
-                    closure += 1
-                    continue
-                ac_times = products[ac]
-                for cd, bd in zip(row_c, row_b):
-                    if cd is None or bd is None:
-                        closure += (cd is None) + (bd is None)
-                        m3 = False
-                        continue
-                    lhs = ab_times[cd]
-                    if lhs is _UNSET:
-                        lhs = ab_times[cd] = op(ab, cd)
-                    rhs = ac_times[bd]
-                    if rhs is _UNSET:
-                        rhs = ac_times[bd] = op(ac, bd)
-                    if lhs is None or rhs is None:
-                        closure += (lhs is None) + (rhs is None)
-                        m3 = False
-                        continue
-                    if exact:
-                        m3 = m3 and lhs == rhs
-                    else:
-                        worst = max(worst, abs(lhs - rhs))
-                        m3 = m3 and abs(lhs - rhs) <= FLOAT_TOL
+            if exact:
+                second[k] = interned.setdefault(v, len(interned))
+            else:
+                second[k] = k
+                seconds[k] = v
+        lhs, rhs = second[lhs], second[rhs]
+        closure += int((lhs < 0).sum() + (rhs < 0).sum())
+        both = (lhs >= 0) & (rhs >= 0)
+        m3 = m3 and bool(both.all())
+        lhs, rhs = lhs[both], rhs[both]
+        if exact:
+            m3 = m3 and bool((lhs == rhs).all())
+        elif lhs.size:
+            top = float(np.abs(seconds[lhs] - seconds[rhs]).max())
+            worst = max(worst, top)
+            m3 = m3 and top <= FLOAT_TOL
 
     label = expected = None
     matches = None
@@ -769,12 +776,13 @@ def sampled_associativity(fam: ParametricFamily,
     pts = samples if samples is not None else default_samples(fam, 8)
     exact = fam.mode == "exact"
     pairs, values = _pair_table(fam, pts)
-    for a, row_a in zip(pts, pairs):
-        for ab, row_b in zip(row_a, pairs):
-            if ab is None:
+    rows = pairs.tolist()
+    for a, row_a in zip(pts, rows):
+        for ab, row_b in zip(row_a, rows):
+            if ab < 0:
                 continue
             for c, bc in zip(pts, row_b):
-                if bc is None:
+                if bc < 0:
                     continue
                 try:
                     lhs = fam.evaluate(values[ab], c)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import re
+import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -8,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccmagma import fixtures
-from ccmagma.catalog import (CATALOG, AffineFamily, CubeRootFamily, DomainError,
-                             Interval, ParametricFamily, ProbSumFamily,
+from ccmagma.catalog import (CATALOG, REALS, AffineFamily, CubeRootFamily,
+                             DomainError, Interval, ParametricFamily, ProbSumFamily,
                              classify_family, default_samples,
                              half_has_no_inverse_check, mobius_maps_into,
                              monoid_formula_check, sampled_associativity,
@@ -81,6 +84,17 @@ class TestMobius:
         iv = Interval(0, 1)
         assert mobius_maps_into(iv, iv, 0, F(1, 2), 0, 1)
         assert not mobius_maps_into(iv, iv, 0, 2, 0, 1)
+
+    def test_constant_mobius_pole_off_the_lattice(self):
+        # (2v + 1)/(4v + 2) is 1/2 except at its pole -1/2, which is no integer
+        z = Interval(None, None, integral=True)
+        assert mobius_maps_into(z, REALS, 2, 1, 4, 2)
+
+    def test_mobius_over_integer_source_is_not_decided(self):
+        # v/(2v + 1) has no pole on Z, but the image of Z is no interval
+        z = Interval(None, None, integral=True)
+        with pytest.raises(NotImplementedError, match="integer lattices"):
+            mobius_maps_into(z, REALS, 1, 0, 2, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
@@ -197,6 +211,19 @@ def test_sample_report_digest():
         "dcd616658e57b755244990e545171e8f067fd6936e44c310d6e97346f5b51bbb")
 
 
+def test_m3_scan_memory_is_sliced():
+    # s = 26 samples and u = 351 distinct products: one s^4 intp array
+    # alone takes 3.7 MB
+    tracemalloc.start()
+    try:
+        sampled_axiom_check(CATALOG["logsumexp-R"], denominator=16,
+                            classify_too=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
+
+
 NON_CLOSED = [
     ParametricFamily("affine-[0,1]:1,0", AffineFamily(1, 0, Interval(0, 1)),
                      "a+b", None, None, True),
@@ -206,6 +233,23 @@ NON_CLOSED = [
                      CubeRootFamily(2, 1, Interval(-1, 1)),
                      "2(a^3+b^3)^(1/3)", None, None, False),
 ]
+
+
+@dataclass(frozen=True)
+class TrapShape:
+    """(x + y)/3 on [-1, 1], raising a ValueError that names its arguments
+    on each ordered pair in trap."""
+    trap: frozenset
+    domain: Interval = Interval(-1, 1)
+    mode = "exact"
+
+    def evaluate_raw(self, x, y):
+        if (x, y) in self.trap:
+            raise ValueError(f"trap at ({x}, {y})")
+        return (x + y) / 3
+
+    def solve_raw(self, a, b):
+        return 3 * b - a
 
 
 class TestSampledAxiomOracle:
@@ -226,6 +270,29 @@ class TestSampledAxiomOracle:
         fam = CATALOG["geometric-(0,1)"]
         assert (sampled_axiom_check(fam, pts, classify_too=False)
                 == brute_sampled_axiom_check(fam, pts, classify_too=False))
+
+    @pytest.mark.parametrize("trap", [
+        {(F(-1, 6), F(-2, 3))},
+        # the loop needs the first of each pair before the second, and the
+        # second has the smaller id pair or sits on the other side of M3
+        {(F(-1, 6), F(-2, 3)), (F(-2, 3), F(1, 3))},
+        {(F(-2, 3), F(1, 3)), (F(-1, 6), F(-1, 6))},
+    ])
+    def test_second_level_exception_comes_from_the_same_product(self, trap):
+        # no trapped pair is a pair of samples, so only a product of two
+        # products raises, and the message says which one came first
+        fam = ParametricFamily("trap", TrapShape(frozenset(trap)), "(a+b)/3",
+                               None, None, False)
+        samples = [F(-1), F(1, 2), F(0), F(1)]
+        with pytest.raises(ValueError) as brute:
+            brute_sampled_axiom_check(fam, samples)
+        assert "trap at" in str(brute.value)
+        with pytest.raises(ValueError, match=re.escape(str(brute.value))):
+            sampled_axiom_check(fam, samples)
+
+    def test_sample_outside_the_carrier_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            sampled_axiom_check(MID, [F(0), F(2)])
 
     @pytest.mark.parametrize("fam", NON_CLOSED, ids=lambda f: f.id)
     def test_closure_violations_counted_per_call_site(self, fam):
