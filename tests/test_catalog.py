@@ -238,14 +238,17 @@ NON_CLOSED = [
 @dataclass(frozen=True)
 class TrapShape:
     """(x + y)/3 on [-1, 1], raising a ValueError that names its arguments
-    on each ordered pair in trap."""
+    on each ordered pair in trap, and leaving the carrier on each in escape."""
     trap: frozenset
+    escape: frozenset = frozenset()
     domain: Interval = Interval(-1, 1)
     mode = "exact"
 
     def evaluate_raw(self, x, y):
         if (x, y) in self.trap:
             raise ValueError(f"trap at ({x}, {y})")
+        if (x, y) in self.escape:
+            return F(2)
         return (x + y) / 3
 
     def solve_raw(self, a, b):
@@ -273,8 +276,9 @@ class TestSampledAxiomOracle:
 
     @pytest.mark.parametrize("trap", [
         {(F(-1, 6), F(-2, 3))},
-        # the loop needs the first of each pair before the second, and the
-        # second has the smaller id pair or sits on the other side of M3
+        # the loop needs the first pair of each set before the second; a
+        # scan that took the keys in sorted order would raise on the second
+        # pair here, and one that took rhs before lhs in the next case
         {(F(-1, 6), F(-2, 3)), (F(-2, 3), F(1, 3))},
         {(F(-2, 3), F(1, 3)), (F(-1, 6), F(-1, 6))},
     ])
@@ -289,6 +293,17 @@ class TestSampledAxiomOracle:
         assert "trap at" in str(brute.value)
         with pytest.raises(ValueError, match=re.escape(str(brute.value))):
             sampled_axiom_check(fam, samples)
+
+    def test_escape_among_samples_alone_falsifies_m3(self):
+        # every product of two products stays in [-2/3, 2/3], so only the
+        # escaped cd and bd of the quadruples through (1, 1) falsify M3
+        fam = ParametricFamily("escape", TrapShape(frozenset(),
+                                                   frozenset({(F(1), F(1))})),
+                               "(a+b)/3", None, None, False)
+        samples = [F(-1), F(1, 2), F(0), F(1)]
+        rep = sampled_axiom_check(fam, samples)
+        assert not rep.m3_ok and rep.closure_violations > 0
+        assert rep == brute_sampled_axiom_check(fam, samples)
 
     def test_sample_outside_the_carrier_is_a_domain_error(self):
         with pytest.raises(DomainError):
