@@ -217,3 +217,40 @@ def brute_sampled_axiom_check(fam, samples=None, denominator=16, classify_too=Tr
     return SampleReport(fam.id, len(pts), m1, m2, m3,
                         None if exact else worst, closure,
                         label, expected, matches)
+
+
+def brute_parse(text):
+    """The Cayley-table text reader written out line by line: every entry
+    through int(), the table as a tuple of row tuples, and on bad input a
+    ValueError naming the first bad line with parse_magma's wording."""
+    lines = [(lineno, s) for lineno, s in enumerate((t.strip() for t in text.splitlines()), 1)
+             if s and not s.startswith("#")]
+    if not lines:
+        raise ValueError("empty input")
+    lineno, head = lines[0]
+    try:
+        n = int(head)
+    except ValueError:
+        raise ValueError(f"line {lineno}: order {head!r} is not an integer") from None
+    if n < 1:
+        raise ValueError(f"line {lineno}: order must be >= 1, got {n}")
+    if len(lines) - 1 != n:
+        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
+    rows = []
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != n:
+            raise ValueError(f"line {lineno}: expected {n} entries, found {len(parts)}")
+        row = []
+        for p in parts:
+            try:
+                v = int(p)
+            except ValueError:
+                raise ValueError(f"line {lineno}: entry {p!r} is not an integer") from None
+            if v < 0:
+                raise ValueError(f"line {lineno}: entry {v} is negative")
+            if v >= n:
+                raise ValueError(f"line {lineno}: entry {v} >= order {n}")
+            row.append(v)
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ccmagma.generation import (extract_group, generate_quasigroup,
 from ccmagma.structures import internal_monoid, midpoint_distributivity_check
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
-from _brute import brute_axioms, brute_monoid_invariants, brute_star
+from _brute import brute_axioms, brute_monoid_invariants, brute_parse, brute_star
 
 A2_TEXT = "3\n0 2 1\n2 1 0\n1 0 2"
 
@@ -103,6 +104,82 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_magma(text)
         assert str(info.value) == message
+
+
+def _parsed(parse, text):
+    """The table a reader returns, or the text of the error it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _reference_format(m):
+    return "\n".join([str(m.order), *(" ".join(map(str, row)) for row in m.table)]) + "\n"
+
+
+class TestParseOracle:
+    """parse_magma and format_magma against the line-by-line reference:
+    the same table or the same ParseError text for every input."""
+
+    # inserted, or written over one character; blank lines via "\n\n"
+    TOKENS = ("0", "  ", "\t", "+", "_", "\uff12", "\u00b2", "\xa0", "\x0c", "#", "-1",
+              "1.5", "0x1", "1" * 20, "\n", "\n\n")
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        return [generate_quasigroup(order, 3)[0]
+                for order in (*range(1, 65), 128, 256)]
+
+    def test_canonical_text(self, generated):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in generated:
+                text = format_magma(m)
+                assert text == _reference_format(m)
+                assert FiniteMagma(brute_parse(text)) == m
+                assert parse_magma(text) == m
+
+    def test_format_matches_reference_on_fixtures(self):
+        for m in (*FINITE_FIXTURES.values(), NON_MEDIAL_4):
+            assert format_magma(m) == _reference_format(m)
+
+    def _mutants(self):
+        rng = random.Random(2024)
+        bases = [format_magma(generate_quasigroup(order, 5)[0])
+                 for order in (1, 2, 3, 5, 8, 11, 16)]
+        bases.append("# a comment\n" + bases[3].replace("\n", "\n# mid\n", 2))
+        for _ in range(700):
+            text = rng.choice(bases)
+            i = rng.randrange(len(text) + 1)
+            op = rng.choice(("insert", "delete", "replace"))
+            if op == "insert":
+                yield text[:i] + rng.choice(self.TOKENS) + text[i:]
+            elif op == "delete":
+                yield text[:i] + text[i + rng.randint(1, 3):]
+            else:
+                yield text[:i] + rng.choice(self.TOKENS) + text[i + 1:]
+
+    def test_mutated_text(self):
+        outcomes = {"table": 0, "error": 0}
+        for text in self._mutants():
+            expected = _parsed(brute_parse, text)
+            got = _parsed(parse_magma, text)
+            if isinstance(expected, str):
+                outcomes["error"] += 1
+                assert got == expected, text
+                with pytest.raises(ParseError):
+                    parse_magma(text)
+            else:
+                outcomes["table"] += 1
+                assert got == FiniteMagma(expected), text
+        # the mutations reach both outcomes often
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_saturating_token_gets_the_line_message(self):
+        text = "2\n0 1\n1 " + "1" * 20 + "\n"
+        assert _parsed(parse_magma, text) == _parsed(brute_parse, text) \
+            == "line 3: entry 11111111111111111111 >= order 2"
 
 
 class TestFiniteMagma:
