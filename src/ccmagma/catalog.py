@@ -98,16 +98,6 @@ def _order_ends(e1: _EndT, e2: _EndT) -> tuple[_EndT, _EndT]:
 
 
 def _ends_within(lo_end: _EndT, hi_end: _EndT, dst: Interval) -> bool:
-    if dst.integral:
-        # an open finite endpoint admits no lattice point at itself
-        kind, v, is_open = lo_end
-        if kind == 0 and is_open:
-            lo_end = (0, Fraction(math.floor(v) + 1), False)
-        kind, v, is_open = hi_end
-        if kind == 0 and is_open:
-            hi_end = (0, Fraction(math.ceil(v) - 1), False)
-        if lo_end[0] == 0 and hi_end[0] == 0 and lo_end[1] > hi_end[1]:
-            return True     # no lattice point in the image at all
     kind, v, is_open = lo_end
     if kind == -1:
         if dst.lo is not None:
@@ -139,6 +129,15 @@ def mobius_maps_into(src: Interval, dst: Interval, p, q, r, s) -> bool:
     for affine and constant maps only, which is all the catalog needs.
     """
     p, q, r, s = (Fraction(v) for v in (p, q, r, s))
+    if src.integral:    # a lattice source is judged by its extreme lattice points
+        lo, hi = src.lo, src.hi
+        if lo is not None:
+            lo = math.floor(lo) + 1 if src.lo_open else math.ceil(lo)
+        if hi is not None:
+            hi = math.ceil(hi) - 1 if src.hi_open else math.floor(hi)
+        if lo is not None and hi is not None and lo > hi:
+            return True     # no lattice point: nothing can fail
+        src = Interval(lo, hi, integral=True)
     if src.lo is not None and src.lo == src.hi:
         den = r * src.lo + s
         if den == 0:

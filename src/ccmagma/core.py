@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -87,21 +86,24 @@ def magma_from_function(n: int, fn) -> FiniteMagma:
 # lines starting with '#' are comments.  The writer output is bit-stable.
 
 def parse_magma(text: str) -> FiniteMagma:
-    """One vectorised pass over the text; on any anomaly the per-line
-    checks below run to name the first bad line."""
+    """Canonical text, as format_magma writes it (the order n, then n rows
+    of n ASCII-digit entries split by single spaces), is read in one numpy
+    pass; any other text goes through the per-line reader, which takes
+    every entry int() reads and names the first bad line."""
     lines = _content_lines(text)
-    try:
-        (_, head), *body = lines
-        n = int(head)
-        rows = [line.split() for _, line in body]
-        if len(rows) == n and all(len(row) == n for row in rows):
-            cells = np.array(list(map(int, chain.from_iterable(rows))), dtype=np.intp)
-            return FiniteMagma(cells.reshape(n, n))
-    except (ValueError, OverflowError):
-        pass
     if not lines:
         raise ParseError("empty input")
     (lineno, head), *body = lines
+    flat = "\n".join(line for _, line in body)
+    if body and head == str(len(body)) and flat.isascii():
+        n, b = len(body), np.frombuffer(flat.encode(), np.uint8)
+        gaps = np.flatnonzero(b < 48)   # every byte below "0"; canonical: " " or "\n"
+        # n*n - 1 single gaps, every n-th a row break, the rest spaces
+        if ((b < 58).all() and len(gaps) == n * n - 1 and (np.diff(gaps) > 1).all()
+                and (b[gaps[n - 1::n]] == 10).all() and np.count_nonzero(b == 32) == n * n - n):
+            cells = np.fromstring(flat, dtype=np.intp, sep=" ")
+            if cells.max() < n:     # a token past intp saturates and fails here
+                return FiniteMagma(cells.reshape(n, n))
     try:
         n = int(head)
     except ValueError:
@@ -110,10 +112,12 @@ def parse_magma(text: str) -> FiniteMagma:
         raise ParseError(f"line {lineno}: order must be >= 1, got {n}")
     if len(body) != n:
         raise ParseError(f"expected {n} rows, found {len(body)}")
+    table = []
     for lineno, line in body:
         parts = line.split()
         if len(parts) != n:
             raise ParseError(f"line {lineno}: expected {n} entries, found {len(parts)}")
+        row = []
         for p in parts:
             try:
                 v = int(p)
@@ -122,7 +126,9 @@ def parse_magma(text: str) -> FiniteMagma:
             if not 0 <= v < n:
                 raise ParseError(f"line {lineno}: entry {v} >= order {n}" if v >= 0
                                  else f"line {lineno}: entry {v} is negative")
-    raise AssertionError("unreachable: the vectorised pass accepts every valid table")
+            row.append(v)
+        table.append(row)
+    return FiniteMagma(table)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -132,9 +138,8 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def format_magma(m: FiniteMagma) -> str:
-    out = [str(m.order)]
-    out.extend(" ".join(map(str, row)) for row in m.arr.tolist())
-    return "\n".join(out) + "\n"
+    names = np.array(list(map(str, range(m.order))), dtype=object)
+    return "\n".join([str(m.order), *map(" ".join, names[m.arr].tolist())]) + "\n"
 
 
 # ---------------------------------------------------------------------------

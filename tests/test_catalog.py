@@ -90,6 +90,22 @@ class TestMobius:
         z = Interval(None, None, integral=True)
         assert mobius_maps_into(z, REALS, 2, 1, 4, 2)
 
+    def test_integral_source_is_judged_by_its_lattice_points(self):
+        # ]0, 3/2] over Z is {1}, and 1 lies in [1/2, 1]
+        src = Interval(0, F(3, 2), lo_open=True, integral=True)
+        assert mobius_maps_into(src, Interval(F(1, 2), 1), 1, 0, 0, 1)
+        assert not mobius_maps_into(src, Interval(F(1, 2), 1, hi_open=True), 1, 0, 0, 1)
+        # [1/2, 3] over Z is {1, 2, 3}: v -> v - 1 lands in N0
+        n0 = Interval(0, None, integral=True)
+        assert mobius_maps_into(Interval(F(1, 2), 3, integral=True), n0, 1, -1, 0, 1)
+        assert not mobius_maps_into(Interval(F(-1, 2), 3, integral=True), n0, 1, -1, 0, 1)
+
+    def test_source_without_lattice_points_maps_anywhere(self):
+        empty = Interval(F(1, 4), F(3, 4), integral=True)
+        assert mobius_maps_into(empty, Interval(5, 6), 1, 0, 0, 1)
+        assert mobius_maps_into(Interval(0, 1, lo_open=True, hi_open=True, integral=True),
+                                Interval(5, 6), 1, 0, 0, 1)
+
     def test_mobius_over_integer_source_is_not_decided(self):
         # v/(2v + 1) has no pole on Z, but the image of Z is no interval
         z = Interval(None, None, integral=True)
