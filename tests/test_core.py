@@ -144,6 +144,27 @@ class TestParseOracle:
         for m in (*FINITE_FIXTURES.values(), NON_MEDIAL_4):
             assert format_magma(m) == _reference_format(m)
 
+    def test_non_commutative_tables(self):
+        # every generated table is symmetric, so a transposed read or write
+        # shows only here
+        rng = random.Random(11)
+        for n in (*range(1, 21), 64):
+            m = FiniteMagma([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+            text = format_magma(m)
+            assert text == _reference_format(m)
+            assert parse_magma(text) == FiniteMagma(brute_parse(text)) == m
+
+    def test_token_moved_to_the_next_row(self, generated):
+        # n*n single-spaced tokens, but one row one longer and the next one
+        # shorter: the per-line count error, never a table
+        for m in generated[1:12]:
+            lines = format_magma(m).splitlines()
+            head, tail = lines[1].rsplit(" ", 1)
+            lines[1:3] = [head, f"{tail} {lines[2]}"]
+            text = "\n".join(lines)
+            assert _parsed(parse_magma, text) == _parsed(brute_parse, text) \
+                == f"line 2: expected {m.order} entries, found {m.order - 1}"
+
     def _mutants(self):
         rng = random.Random(2024)
         bases = [format_magma(generate_quasigroup(order, 5)[0])
