@@ -197,11 +197,6 @@ class TestParseOracle:
         # the mutations reach both outcomes often
         assert min(outcomes.values()) > 100, outcomes
 
-    def test_saturating_token_gets_the_line_message(self):
-        text = "2\n0 1\n1 " + "1" * 20 + "\n"
-        assert _parsed(parse_magma, text) == _parsed(brute_parse, text) \
-            == "line 3: entry 11111111111111111111 >= order 2"
-
 
 class TestFiniteMagma:
     ROWS = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
