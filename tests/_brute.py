@@ -254,3 +254,70 @@ def brute_parse(text):
             row.append(v)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def reference_parser():
+    """The ccmagma command-line parser as one full argparse build, written
+    out rather than imported: every subcommand registered, each handler
+    recorded by its name, and the --samples check worded as the CLI words it."""
+    import argparse
+
+    from ccmagma import __version__
+
+    def positive_int(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
+    parser = argparse.ArgumentParser(
+        prog="ccmagma",
+        description="Analyze, classify, generate and transform commutative "
+                    "cancellative medial magmas.")
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--json", action="store_true",
+                        help="machine output only (no stderr summary)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress the stderr summary")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="verify the axioms of a Cayley-table file")
+    p.add_argument("path")
+    p.set_defaults(fn="_cmd_check")
+
+    p = sub.add_parser("classify", help="classification label at an idempotent unit")
+    p.add_argument("path")
+    p.add_argument("--unit", type=int, required=True)
+    p.set_defaults(fn="_cmd_classify")
+
+    p = sub.add_parser("generate", help="random quasigroup in affine form")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn="_cmd_generate")
+
+    p = sub.add_parser("extract-group",
+                       help="divide out the operation into an abelian group")
+    p.add_argument("path")
+    p.add_argument("--unit", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(fn="_cmd_extract_group")
+
+    p = sub.add_parser("relation",
+                       help="relation induced by a subalgebra and a unit")
+    p.add_argument("path")
+    p.add_argument("--subalgebra", required=True,
+                   help="comma-separated element list, e.g. 0,3,6")
+    p.add_argument("--unit", type=int, required=True)
+    p.set_defaults(fn="_cmd_relation")
+
+    p = sub.add_parser("catalog", help="parametric family reports")
+    p.add_argument("--family")
+    p.add_argument("--samples", type=positive_int, default=16,
+                   help="sample-grid denominator (default 16)")
+    p.set_defaults(fn="_cmd_catalog")
+
+    return parser

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ccmagma import fixtures
+from ccmagma import __version__, cli, fixtures
 from ccmagma.cli import main
 from ccmagma.core import format_magma
 
+from _brute import reference_parser
 from conftest import A2, F5A, Z9A
 
 NON_MEDIAL_4_TEXT = "4\n0 1 3 2\n1 2 0 3\n3 0 2 1\n2 3 1 0\n"
@@ -310,3 +317,163 @@ class TestEntryPoint:
         for sub in ("check", "classify", "generate", "extract-group",
                     "relation", "catalog"):
             assert sub in proc.stdout
+
+
+class _Parsed(Exception):
+    """Carries the Namespace that main's parser returned out of main, before
+    a handler runs."""
+
+
+def _parse_by_main(argv):
+    """Parse argv with whatever parser main builds for it: (exit status,
+    None) when argparse exits, (None, Namespace) when parsing succeeds."""
+    build = cli.build_parser
+
+    def spy(*args, **kwargs):
+        parser = build(*args, **kwargs)
+        parse_args = parser.parse_args
+
+        def record(*a, **k):
+            raise _Parsed(parse_args(*a, **k))
+        parser.parse_args = record
+        return parser
+
+    with mock.patch.object(cli, "build_parser", spy):
+        try:
+            return main(argv), None
+        except _Parsed as parsed:
+            return None, parsed.args[0]
+
+
+def _parse_by_sys_argv(argv):
+    """As _parse_by_main, with argv read by main from sys.argv, the way the
+    installed console script calls it."""
+    with mock.patch.object(sys, "argv", ["ccmagma", *argv]):
+        return _parse_by_main(None)
+
+
+def _parse_by_reference(argv):
+    try:
+        return None, reference_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0), None
+
+
+def _captured(parse, argv):
+    """(exit status, stdout, stderr, Namespace fields with the handler by
+    name) of one parse at an 80-column terminal."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status, ns = parse(list(argv))
+    fields = None
+    if ns is not None:
+        fields = dict(vars(ns))
+        fields["fn"] = getattr(fields["fn"], "__name__", fields["fn"])
+    return status, out.getvalue(), err.getvalue(), fields
+
+
+SUBCOMMANDS = ("check", "classify", "generate", "extract-group", "relation",
+               "catalog")
+
+PARSER_ARGV = [
+    [], ["--help"], ["--version"], ["--help", "check"],
+    ["--json", "check", "--help"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    # every missing required argument
+    ["check"], ["classify", "t.tbl"], ["classify", "--unit", "0"],
+    ["generate", "--out", "o.tbl"], ["generate", "--order", "3"],
+    ["extract-group", "t.tbl"], ["extract-group", "--unit", "0"],
+    ["relation", "t.tbl", "--unit", "0"], ["relation", "t.tbl", "--subalgebra", "0"],
+    ["relation", "--subalgebra", "0", "--unit", "0"],
+    ["classify", "t.tbl", "--unit", "a"], ["catalog", "--samples", "0"],
+    ["bogus"], ["--bogus", "check", "t.tbl"], ["check", "t.tbl", "--bogus"],
+    ["--js", "check", "x"],
+    ["--json", "check", "x"], ["check", "x", "--json"],
+    ["--quiet", "check", "x"], ["check", "--quiet", "x"],
+    ["--quiet", "--json", "classify", "t.tbl", "--unit", "0"],
+    ["generate", "--order", "5", "--seed", "-2", "--out", "o.tbl"],
+    ["extract-group", "t.tbl", "--unit", "1", "--out", "g.tbl"],
+    ["relation", "t.tbl", "--subalgebra", "0,3,6", "--unit", "0"],
+    ["catalog"], ["catalog", "--family", "", "--samples", "3"],
+]
+
+
+class TestParser:
+    """The parser main builds answers every argv as the one full build of
+    the reference does: same output, status and Namespace."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+    def test_matches_reference_parser(self, argv):
+        expected = _captured(_parse_by_reference, argv)
+        assert _captured(_parse_by_main, argv) == expected
+        assert _captured(_parse_by_sys_argv, argv) == expected
+
+
+# orders stay at 64 or below: a generated table holds order**2 cells
+FUZZ_INTS = ("0", "1", "2", "3", "5", "9", "64", "-1", "-3")
+FUZZ_PATHS = ("a2.tbl", "f5.tbl", "z9.tbl", "dir", "missing.tbl", "bytes.tbl")
+FUZZ_VALUES = (*FUZZ_INTS, *FUZZ_PATHS, "0,3,6", "", " ", "=")
+FUZZ_WORDS = (*SUBCOMMANDS, *FUZZ_VALUES, "-h", "--help", "--version", "--json",
+              "--quiet", "--unit", "--order", "--seed", "--out", "--subalgebra",
+              "--family", "--samples", "--", "--unit=0")
+# what each subcommand takes, with the values each part is mostly drawn
+# from; "path" stands for the positional
+FUZZ_FORMS = {
+    "check": (("path", FUZZ_PATHS),),
+    "classify": (("path", FUZZ_PATHS), ("--unit", FUZZ_INTS)),
+    "generate": (("--order", FUZZ_INTS), ("--seed", FUZZ_INTS), ("--out", FUZZ_PATHS)),
+    "extract-group": (("path", FUZZ_PATHS), ("--unit", FUZZ_INTS), ("--out", FUZZ_PATHS)),
+    "relation": (("path", FUZZ_PATHS), ("--subalgebra", ("0", "0,3,6", "1,2", "0,99")),
+                 ("--unit", FUZZ_INTS)),
+    "catalog": (("--family", ("", "nope")), ("--samples", FUZZ_INTS)),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """Half the time any words; otherwise a subcommand with most of its own
+    arguments, now and then an odd value or one stray word, so that
+    handlers run as well as argparse's error paths."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(FUZZ_WORDS), max_size=8))
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [*draw(st.lists(st.sampled_from(("--json", "--quiet")), max_size=2)), name]
+    for part, values in FUZZ_FORMS[name]:
+        if draw(st.integers(0, 7)):
+            value = draw(st.sampled_from(values if draw(st.integers(0, 7)) else FUZZ_VALUES))
+            argv += [value] if part == "path" else [part, value]
+    if not draw(st.integers(0, 4)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FUZZ_WORDS)))
+    return argv
+
+
+class TestExitStatusFuzz:
+    """The exit-status contract on drawn argv: 0, 1 or 2, no traceback, and
+    stdout empty, one JSON report, or help or version text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=fuzz_argv(), junk=st.binary(max_size=64))
+    def test_contract(self, argv, junk):
+        here = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)     # relative --out paths land in the scratch dir
+            try:
+                for name, magma in (("a2.tbl", A2), ("f5.tbl", F5A), ("z9.tbl", Z9A)):
+                    with open(name, "w") as f:
+                        f.write(format_magma(magma))
+                os.mkdir("dir")
+                with open("bytes.tbl", "wb") as f:
+                    f.write(junk)
+                expected = _captured(_parse_by_reference, argv)
+                assert _captured(_parse_by_main, argv) == expected
+                status, out, err, _ = _captured(lambda a: (main(a), None), argv)
+            finally:
+                os.chdir(here)
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err
+        if expected[0] is not None:
+            assert (status, out, err) == expected[:3]
+        if out and not (status == 0 and (out.startswith("usage: ccmagma")
+                                          or out == f"{__version__}\n")):
+            assert isinstance(json.loads(out), dict)
