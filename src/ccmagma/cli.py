@@ -3,6 +3,8 @@ relation, catalog.
 
 Machine-readable JSON goes to stdout, a short human summary to stderr.
 Exit status: 0 success, 1 property violation, 2 usage or parse error.
+`main(argv)` may be called in process any number of times: each call builds
+only the chosen subcommand's parser and keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def _cmd_relation(args) -> int:
 
 def _cmd_catalog(args) -> int:
     started = time.perf_counter()
-    if not args.family:
+    if args.family is None:
         listing = [{"id": fam.id, "formula": fam.formula,
                     "domain": str(fam.domain), "mode": fam.mode,
                     "expected_label": fam.expected_label}
@@ -298,7 +300,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED_INT = {"type": int, "required": True}
+# name -> (help, handler, {argument: add_argument options})
+_COMMANDS = {
+    "check": ("verify the axioms of a Cayley-table file", _cmd_check,
+              {"path": {}}),
+    "classify": ("classification label at an idempotent unit", _cmd_classify,
+                 {"path": {}, "--unit": _REQUIRED_INT}),
+    "generate": ("random quasigroup in affine form", _cmd_generate,
+                 {"--order": _REQUIRED_INT, "--seed": {"type": int, "default": 0},
+                  "--out": {"required": True}}),
+    "extract-group": ("divide out the operation into an abelian group",
+                      _cmd_extract_group,
+                      {"path": {}, "--unit": _REQUIRED_INT, "--out": {}}),
+    "relation": ("relation induced by a subalgebra and a unit", _cmd_relation,
+                 {"path": {},
+                  "--subalgebra": {"required": True,
+                                   "help": "comma-separated element list, e.g. 0,3,6"},
+                  "--unit": _REQUIRED_INT}),
+    "catalog": ("parametric family reports", _cmd_catalog,
+                {"--family": {},
+                 "--samples": {"type": _positive_int, "default": 16,
+                               "help": "sample-grid denominator (default 16)"}}),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full parser; given a subcommand name, the top-level parser with
+    only that subcommand registered, under the same usage line."""
     parser = argparse.ArgumentParser(
         prog="ccmagma",
         description="Analyze, classify, generate and transform commutative "
@@ -308,49 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine output only (no stderr summary)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the stderr summary")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify the axioms of a Cayley-table file")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("classify", help="classification label at an idempotent unit")
-    p.add_argument("path")
-    p.add_argument("--unit", type=int, required=True)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("generate", help="random quasigroup in affine form")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_generate)
-
-    p = sub.add_parser("extract-group",
-                       help="divide out the operation into an abelian group")
-    p.add_argument("path")
-    p.add_argument("--unit", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_extract_group)
-
-    p = sub.add_parser("relation",
-                       help="relation induced by a subalgebra and a unit")
-    p.add_argument("path")
-    p.add_argument("--subalgebra", required=True,
-                   help="comma-separated element list, e.g. 0,3,6")
-    p.add_argument("--unit", type=int, required=True)
-    p.set_defaults(fn=_cmd_relation)
-
-    p = sub.add_parser("catalog", help="parametric family reports")
-    p.add_argument("--family")
-    p.add_argument("--samples", type=_positive_int, default=16,
-                   help="sample-grid denominator (default 16)")
-    p.set_defaults(fn=_cmd_catalog)
-
+    one = command in _COMMANDS
+    # the metavar keeps usage lines listing every subcommand; the full build
+    # needs none, and one would reword "required: command"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(_COMMANDS) if one else None)
+    for name in [command] if one else _COMMANDS:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first word other than a global flag names the subcommand
+    parser = build_parser(next((a for a in argv if a not in ("--json", "--quiet")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

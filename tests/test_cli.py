@@ -233,6 +233,11 @@ class TestCatalog:
         assert code == 2
         assert "harmonic-(0,1]" in err
 
+    def test_empty_family_is_unknown(self, capsys):
+        code, report, err = run(capsys, "catalog", "--family", "")
+        assert code == 2 and report is None
+        assert "unknown family ''" in err and "harmonic-(0,1]" in err
+
     def test_midpoint_unit_interval(self, capsys):
         code, report, _ = run(capsys, "catalog", "--family", "midpoint-[0,1]",
                               "--samples", "8")
