@@ -462,7 +462,7 @@ class TestExitStatusFuzz:
     def test_contract(self, argv, junk):
         here = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
-            os.chdir(tmp)     # relative --out paths land in the scratch dir
+            os.chdir(tmp)     # relative --out paths land in the temporary directory
             try:
                 for name, magma in (("a2.tbl", A2), ("f5.tbl", F5A), ("z9.tbl", Z9A)):
                     with open(name, "w") as f:
