@@ -61,6 +61,57 @@ def brute_transitive(member):
     return True
 
 
+def brute_pairs(member):
+    return [(a, b) for a, row in enumerate(member) for b, v in enumerate(row) if v]
+
+
+def brute_format_relation(member):
+    rows = [" ".join("1" if v else "0" for v in row) for row in member]
+    return "\n".join([f"{len(member)} {len(member[0])}", *rows]) + "\n"
+
+
+def brute_internal(left, right, member):
+    """(flag, witness) of the pair-by-pair scan: the first related pair, in
+    row-major order, and the first related pair it multiplies out of the
+    relation."""
+    ps = brute_pairs(member)
+    for a, b in ps:
+        for a2, b2 in ps:
+            if not member[left[a][a2]][right[b][b2]]:
+                return False, ((a, b), (a2, b2))
+    return True, None
+
+
+def brute_reflexive(member):
+    for a in range(len(member)):
+        if not member[a][a]:
+            return False, a
+    return True, None
+
+
+def brute_difunctional_witness(member):
+    """(x, y, z, w) with xRy, zRy, zRw and not xRw: the smallest such
+    (x, w), completed with the smallest (y, z); None when there is none."""
+    rows, cols = range(len(member)), range(len(member[0]))
+    for x, w in product(rows, cols):
+        if member[x][w]:
+            continue
+        for y, z in product(cols, rows):
+            if member[x][y] and member[z][y] and member[z][w]:
+                return x, y, z, w
+    return None
+
+
+def brute_classes(member):
+    """Distinct rows as tuples of related columns, in order of first row."""
+    out = []
+    for row in member:
+        related = tuple(b for b, v in enumerate(row) if v)
+        if related not in out:
+            out.append(related)
+    return out
+
+
 def brute_star(table, e):
     """Reconstruct the star table by scanning for the solution of
     star(x, y) op e = x op y, pair by pair."""

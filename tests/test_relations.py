@@ -12,10 +12,14 @@ from ccmagma.relations import (BinaryRelation, KiteInput, build_pullback,
                                parse_relation_grid, pullback_pairs,
                                relation_from_pairs, subalgebra_relation,
                                subalgebra_witnesses, transitivity_criterion)
+from ccmagma.generation import generate_quasigroup
 from ccmagma.structures import internal_monoid, negate
 
 from conftest import A2, A3, F5A, Z9A
-from _brute import brute_difunctional, brute_transitive, endomorphism_pool
+from _brute import (brute_classes, brute_difunctional,
+                    brute_difunctional_witness, brute_format_relation,
+                    brute_internal, brute_pairs, brute_reflexive,
+                    brute_transitive, endomorphism_pool)
 
 
 def hom(m, mapping):
@@ -85,6 +89,58 @@ class TestPredicates:
                 x, y, z, v = w
                 assert member[x][y] and member[z][y] and member[z][v]
                 assert not member[x][v]
+
+
+def _seeded_relations(count, seed):
+    """(left, right, member) over the fixtures and generated tables of
+    orders 2-12, square and rectangular: every tenth grid is empty, full or
+    the identity, the rest have a density drawn from 0.05-1.0."""
+    rng = random.Random(seed)
+    pool = [A2, A3, F5A, Z9A, fixtures.singleton(),
+            *(generate_quasigroup(n, s)[0] for n in range(2, 13) for s in (0, 1))]
+    for i in range(count):
+        left = rng.choice(pool)
+        right = left if i % 3 else rng.choice(pool)
+        if i % 10 == 0:
+            kind = rng.choice(("empty", "full", "identity"))
+            if kind == "identity" and left == right:
+                yield left, right, tuple(tuple(a == b for b in right.elements())
+                                         for a in left.elements())
+                continue
+            density = 0.0 if kind == "empty" else 1.0
+        else:
+            density = rng.uniform(0.05, 1.0)
+        yield left, right, tuple(tuple(rng.random() < density for _ in right.elements())
+                                 for _ in left.elements())
+
+
+class TestTupleOracle:
+    """Every predicate, witness and constructor against the tuple loops of
+    tests/_brute.py."""
+
+    def test_matches_tuple_loops(self):
+        rng = random.Random(7)
+        seen = {"square": 0, "rectangular": 0, "empty": 0, "full": 0}
+        for left, right, member in _seeded_relations(1200, 3):
+            r = BinaryRelation(left, right, member)
+            assert r.member == member
+            pairs = brute_pairs(member)
+            assert r.pairs() == pairs
+            assert format_relation(r) == brute_format_relation(member)
+            shuffled = pairs + rng.sample(pairs, len(pairs) // 3)
+            rng.shuffle(shuffled)
+            assert relation_from_pairs(left, right, shuffled).member == member
+            assert r.is_internal() == brute_internal(left.table, right.table, member)
+            witness = brute_difunctional_witness(member)
+            assert r.is_difunctional() == (witness is None, witness)
+            assert r.classes() == brute_classes(member)
+            if left == right:
+                assert r.is_reflexive() == brute_reflexive(member)
+                assert r.is_transitive()[0] == brute_transitive(member)
+            seen["square" if left == right else "rectangular"] += 1
+            seen["empty"] += not pairs
+            seen["full"] += len(pairs) == left.order * right.order
+        assert min(seen.values()) >= 30, seen
 
 
 class TestSerialization:
