@@ -2,45 +2,59 @@
 equalizer relations of homomorphism pairs, relations induced by a
 subalgebra, and the pullback construction for split-epimorphism pairs.
 
-Relations are dense flag grids; every predicate is exhaustive.
+Relations are read-only bool arrays; every predicate is exhaustive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .core import (FiniteMagma, Homomorphism, ParseError, compose,
                    identity_hom, is_homomorphism, subalgebra_closure,
-                   _column_inverse, _content_lines, _first)
+                   _column_inverse, _content_lines, _first, _first_sliced)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryRelation:
+    """mat, the canonical form, is a private read-only bool copy of the grid
+    given; member, the same grid as a tuple of tuples, is derived from it."""
+
     left: FiniteMagma
     right: FiniteMagma
-    member: tuple[tuple[bool, ...], ...]
+    mat: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(tuple(bool(v) for v in row) for row in self.member)
-        object.__setattr__(self, "member", rows)
-        if len(rows) != self.left.order:
+        try:
+            mat = np.array(self.mat, dtype=bool)
+        except ValueError:   # ragged rows fail the column count
+            mat = np.empty((len(self.mat), 0), dtype=bool)
+        if len(mat) != self.left.order:
             raise ValueError("member grid row count must equal left order")
-        if any(len(row) != self.right.order for row in rows):
+        if mat.shape != (self.left.order, self.right.order):
             raise ValueError("member grid column count must equal right order")
+        mat.setflags(write=False)
+        object.__setattr__(self, "mat", mat)
+
+    @cached_property
+    def member(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(map(tuple, self.mat.tolist()))
+
+    def __eq__(self, other):
+        return (isinstance(other, BinaryRelation) and self.left == other.left
+                and self.right == other.right and np.array_equal(self.mat, other.mat))
+
+    def __hash__(self):
+        return hash((self.left, self.right, self.mat.tobytes()))
 
     def holds(self, a: int, b: int) -> bool:
-        return self.member[a][b]
+        return bool(self.mat[a, b])
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in self.left.elements()
-                for b in self.right.elements() if self.member[a][b]]
-
-    @property
-    def _mat(self) -> np.ndarray:
-        return np.array(self.member, dtype=bool)
+        return list(map(tuple, np.argwhere(self.mat).tolist()))
 
     def _require_square(self, what: str):
         if self.left != self.right:
@@ -49,29 +63,27 @@ class BinaryRelation:
     def is_internal(self) -> tuple[bool, Optional[tuple]]:
         """Whether the member set is a subalgebra of the product; the witness
         is a pair of related pairs whose pointwise product is unrelated."""
-        tl, tr = self.left.table, self.right.table
-        ps = self.pairs()
-        for a, b in ps:
-            for a2, b2 in ps:
-                if not self.member[tl[a][a2]][tr[b][b2]]:
-                    return False, ((a, b), (a2, b2))
-        return True, None
+        a, b = np.nonzero(self.mat)
+        tl, tr = self.left.arr, self.right.arr
+        # slice k: [k2] = pair k times pair k2 is unrelated
+        hit = _first_sliced(len(a), lambda k: ~self.mat[tl[a[k], a], tr[b[k], b]])
+        if hit is None:
+            return True, None
+        return False, tuple((int(a[k]), int(b[k])) for k in hit)
 
     def is_reflexive(self) -> tuple[bool, Optional[int]]:
         self._require_square("reflexivity")
-        for a in self.left.elements():
-            if not self.member[a][a]:
-                return False, a
-        return True, None
+        ce = _first(~self.mat.diagonal())
+        return ce is None, None if ce is None else ce[0]
 
     def is_symmetric(self) -> tuple[bool, Optional[tuple[int, int]]]:
         self._require_square("symmetry")
-        ce = _first(self._mat != self._mat.T)
+        ce = _first(self.mat != self.mat.T)
         return ce is None, ce
 
     def is_transitive(self) -> tuple[bool, Optional[tuple[int, int, int]]]:
         self._require_square("transitivity")
-        mat = self._mat
+        mat = self.mat
         bad = _first((mat @ mat) & ~mat)
         if bad is None:
             return True, None
@@ -80,21 +92,15 @@ class BinaryRelation:
         return False, (a, b, c)
 
     def is_difunctional(self) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
-        """xRy, zRy, zRw
-        => xRw; the witness is the smallest failing (x, w) completed with
-        the smallest connecting (y, z)."""
-        mat = self._mat
+        """xRy, zRy, zRw => xRw; the witness is the smallest failing (x, w)
+        completed with the smallest connecting (y, z)."""
+        mat = self.mat
         bad = _first((mat @ mat.T @ mat) & ~mat)
         if bad is None:
             return True, None
         x, w = bad
-        for y in self.right.elements():
-            if not mat[x][y]:
-                continue
-            zs = np.nonzero(mat[:, y] & mat[:, w])[0]
-            if zs.size:
-                return False, (x, int(y), int(zs[0]), w)
-        raise AssertionError("unreachable: matrix witness without elementwise witness")
+        y, z = _first(mat[x][:, None] & mat.T & mat[:, w])
+        return False, (x, y, z, w)
 
     def is_congruence(self) -> tuple[bool, Optional[dict]]:
         self._require_square("congruence")
@@ -109,26 +115,23 @@ class BinaryRelation:
 
     def classes(self) -> list[tuple[int, ...]]:
         """Equivalence classes; only meaningful once is_congruence holds."""
-        seen = []
-        out = []
-        for a in self.left.elements():
-            row = tuple(b for b in self.right.elements() if self.member[a][b])
-            if row not in seen:
-                seen.append(row)
-                out.append(row)
-        return out
+        _, first = np.unique(self.mat, axis=0, return_index=True)
+        return [tuple(np.flatnonzero(self.mat[a]).tolist()) for a in np.sort(first)]
 
 
 def relation_from_pairs(left: FiniteMagma, right: FiniteMagma,
                         pairs: Iterable[tuple[int, int]]) -> BinaryRelation:
-    grid = [[False] * right.order for _ in left.elements()]
-    for a, b in pairs:
-        grid[a][b] = True
-    return BinaryRelation(left, right, tuple(tuple(r) for r in grid))
+    ps = np.array([(a, b) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    outside = ((ps < 0) | (ps >= (left.order, right.order))).any(axis=1)
+    if outside.any():
+        raise ValueError(f"pair {tuple(ps[outside.argmax()].tolist())} out of range")
+    mat = np.zeros((left.order, right.order), dtype=bool)
+    mat[ps[:, 0], ps[:, 1]] = True
+    return BinaryRelation(left, right, mat)
 
 
 def identity_relation(m: FiniteMagma) -> BinaryRelation:
-    return relation_from_pairs(m, m, ((a, a) for a in m.elements()))
+    return BinaryRelation(m, m, np.eye(m.order, dtype=bool))
 
 
 def full_relation(left: FiniteMagma, right: FiniteMagma) -> BinaryRelation:
@@ -136,9 +139,8 @@ def full_relation(left: FiniteMagma, right: FiniteMagma) -> BinaryRelation:
 
 
 def format_relation(r: BinaryRelation) -> str:
-    out = [f"{r.left.order} {r.right.order}"]
-    out.extend(" ".join("1" if v else "0" for v in row) for row in r.member)
-    return "\n".join(out) + "\n"
+    rows = np.where(r.mat, "1", "0").tolist()
+    return "\n".join([f"{r.left.order} {r.right.order}", *map(" ".join, rows)]) + "\n"
 
 
 def parse_relation_grid(text: str) -> tuple[int, int, tuple[tuple[bool, ...], ...]]:
@@ -198,24 +200,24 @@ def _check_subalgebra_inputs(m: FiniteMagma, xs: Iterable[int], e: int) -> tuple
     return xset
 
 
-def _witness_grid(m: FiniteMagma, xs: Iterable[int], e: int) -> np.ndarray:
-    """[a, b] = the smallest x in the subalgebra with a op e = x op b, or -1."""
+def _witness_grid(m: FiniteMagma, xset: tuple[int, ...], e: int) -> np.ndarray:
+    """[a, b] = the smallest x in the checked xset with a op e = x op b, or -1."""
     t, grid = m.arr, np.full((m.order, m.order), -1, dtype=np.intp)
-    for x in reversed(_check_subalgebra_inputs(m, xs, e)):
+    for x in reversed(xset):
         grid[t[:, e, None] == t[x]] = x
     return grid
 
 
 def subalgebra_relation(m: FiniteMagma, xs: Iterable[int], e: int) -> BinaryRelation:
     """aRb iff a op e = x op b for some x in the subalgebra."""
-    return BinaryRelation(m, m, _witness_grid(m, xs, e) >= 0)
+    return BinaryRelation(m, m, _witness_grid(m, _check_subalgebra_inputs(m, xs, e), e) >= 0)
 
 
 def subalgebra_witnesses(m: FiniteMagma, xs: Iterable[int],
                          e: int) -> tuple[tuple[Optional[int], ...], ...]:
     """First witness x (in increasing order) per related pair, None elsewhere."""
-    return tuple(tuple(None if x < 0 else x for x in row)
-                 for row in _witness_grid(m, xs, e).tolist())
+    grid = _witness_grid(m, _check_subalgebra_inputs(m, xs, e), e)
+    return tuple(tuple(None if x < 0 else x for x in row) for row in grid.tolist())
 
 
 def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
@@ -234,7 +236,7 @@ def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
     # [x, y]: some b solves b op e = y op c (some c) with x op b solvable
     chained = (d >= 0).astype(np.intp) @ reach.T.astype(np.intp) > 0
     holds = not (chained & ~np.isin(d[:, xa], xa)).any()
-    direct, _ = subalgebra_relation(m, xset, e).is_transitive()
+    direct, _ = BinaryRelation(m, m, _witness_grid(m, xset, e) >= 0).is_transitive()
     if holds != direct:
         raise AssertionError(
             f"criterion ({holds}) disagrees with direct transitivity ({direct})")
@@ -309,8 +311,7 @@ def pullback_pairs(f: Homomorphism, g: Homomorphism) -> tuple[tuple[int, int], .
     in row-major order.  Needs no sections."""
     if f.target != g.target:
         raise ValueError("pullback requires a shared target")
-    return tuple((a, c) for a in f.source.elements() for c in g.source.elements()
-                 if f.map[a] == g.map[c])
+    return tuple(map(tuple, np.argwhere(np.equal.outer(f.map, g.map)).tolist()))
 
 
 def build_pullback(k: KiteInput) -> PullbackSpan:
@@ -327,10 +328,9 @@ def build_pullback(k: KiteInput) -> PullbackSpan:
     magma = FiniteMagma(table)
     pi1 = Homomorphism(magma, k.A, left)
     pi2 = Homomorphism(magma, k.C, right)
-    e1 = Homomorphism(k.A, magma,
-                      tuple(index[(a, k.s.map[k.f.map[a]])] for a in k.A.elements()))
-    e2 = Homomorphism(k.C, magma,
-                      tuple(index[(k.r.map[k.g.map[c]], c)] for c in k.C.elements()))
+    f, r, g, s = (np.array(h.map, dtype=np.intp) for h in (k.f, k.r, k.g, k.s))
+    e1 = Homomorphism(k.A, magma, index[np.arange(k.A.order), s[f]])
+    e2 = Homomorphism(k.C, magma, index[r[g], np.arange(k.C.order)])
     if compose(pi1, e1).map != identity_hom(k.A).map:
         raise ValueError("pi1 compose e1 is not the identity")
     if compose(pi2, e2).map != identity_hom(k.C).map:

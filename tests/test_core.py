@@ -16,6 +16,7 @@ from ccmagma.core import (FiniteMagma, Homomorphism, ParseError,
                           subalgebra_closure, weak_maltsev_p)
 from ccmagma.generation import (extract_group, generate_quasigroup,
                                 idempotent_parity_audit)
+from ccmagma.relations import full_relation, subalgebra_relation
 from ccmagma.structures import internal_monoid, midpoint_distributivity_check
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
@@ -364,9 +365,19 @@ class TestCheckAxioms:
         m = FiniteMagma(table)
         calls = [lambda: check_axioms(m)]
         if defect is None:
-            calls.append(lambda: internal_monoid(m, idempotents(m)[0]))
-            mon = internal_monoid(m, idempotents(m)[0])
+            e = idempotents(m)[0]
+            calls.append(lambda: internal_monoid(m, e))
+            mon = internal_monoid(m, e)
             calls.append(lambda: midpoint_distributivity_check(m, mon))
+            # is_internal slices by related pair: on the full relation and
+            # on the largest proper subalgebra through e, grown greedily
+            xs = (e,)
+            for y in m.elements():
+                grown = subalgebra_closure(m, {*xs, y})
+                xs = grown if len(grown) < n else xs
+            assert len(xs) == n // 2   # no proper subquasigroup is larger
+            calls += [full_relation(m, m).is_internal,
+                      subalgebra_relation(m, xs, e).is_internal]
         for call in calls:
             tracemalloc.start()
             try:

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ccmagma import fixtures
@@ -141,6 +142,56 @@ class TestTupleOracle:
             seen["empty"] += not pairs
             seen["full"] += len(pairs) == left.order * right.order
         assert min(seen.values()) >= 30, seen
+
+
+class TestConstructor:
+    GRID = ((True, False, True), (False, False, True), (True, True, False))
+    ROWS = "member grid row count must equal left order"
+    COLUMNS = "member grid column count must equal right order"
+
+    def test_every_grid_form_gives_one_relation(self):
+        forms = [self.GRID, [list(row) for row in self.GRID],
+                 np.array(self.GRID), np.array(self.GRID, dtype=int)]
+        first, *rest = (BinaryRelation(A2, A2, grid) for grid in forms)
+        assert first.member == self.GRID
+        for r in rest:
+            assert r == first and hash(r) == hash(first)
+        assert first != BinaryRelation(A2, A3, self.GRID)
+        assert first != identity_relation(A2)
+
+    def test_mat_is_a_read_only_copy(self):
+        grid = np.array(self.GRID)
+        r = BinaryRelation(A2, A2, grid)
+        assert r.mat.dtype == bool and not r.mat.flags.writeable
+        with pytest.raises(ValueError):
+            r.mat[0, 0] = False
+        grid[0, 0] = False
+        assert r.mat[0, 0] and r.member[0][0]
+
+    @pytest.mark.parametrize("grid, message", [
+        (GRID[:2], ROWS),
+        (GRID + GRID[:1], ROWS),
+        ((GRID[0], GRID[1][:2]), ROWS),
+        (tuple(row[:2] for row in GRID), COLUMNS),
+        (np.ones((3, 4)), COLUMNS),
+        ((GRID[0], GRID[1][:2], GRID[2]), COLUMNS),
+        ((GRID[0], GRID[1] + (True,), GRID[2]), COLUMNS),
+    ])
+    def test_wrong_shapes_raise(self, grid, message):
+        with pytest.raises(ValueError) as info:
+            BinaryRelation(A2, A2, grid)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("right, pairs, bad", [
+        (F5A, [(-1, 0)], (-1, 0)),
+        (F5A, [(0, 0), (5, 0)], (5, 0)),
+        (F5A, [(1, 1), (0, -2), (7, 7)], (0, -2)),
+        (A2, [(4, 2), (4, 3)], (4, 3)),
+    ])
+    def test_pairs_out_of_range_raise(self, right, pairs, bad):
+        with pytest.raises(ValueError) as info:
+            relation_from_pairs(F5A, right, pairs)
+        assert str(info.value) == f"pair {bad} out of range"
 
 
 class TestSerialization:
