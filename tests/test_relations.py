@@ -7,13 +7,13 @@ import pytest
 from ccmagma import fixtures
 from ccmagma.core import (FiniteMagma, Homomorphism, ParseError, constant_hom,
                           identity_hom, is_homomorphism, pair_hom, product_magma)
+from ccmagma.generation import generate_quasigroup
 from ccmagma.relations import (BinaryRelation, KiteInput, build_pullback,
                                equalizer_relation, format_relation,
                                full_relation, identity_relation, kite_theta,
                                parse_relation_grid, pullback_pairs,
                                relation_from_pairs, subalgebra_relation,
                                subalgebra_witnesses, transitivity_criterion)
-from ccmagma.generation import generate_quasigroup
 from ccmagma.structures import internal_monoid, negate
 
 from conftest import A2, A3, F5A, Z9A
