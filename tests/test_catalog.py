@@ -227,6 +227,20 @@ def test_sample_report_digest():
         "dcd616658e57b755244990e545171e8f067fd6936e44c310d6e97346f5b51bbb")
 
 
+def test_classification_digest():
+    # every FamilyClassification of a family with a unit, evidence included
+    h = hashlib.sha256()
+    for fid in sorted(CATALOG):
+        fam = CATALOG[fid]
+        if fam.unit is None:
+            continue
+        for g in (*range(2, 9), 16):
+            d = classify_family(fam, default_samples(fam, g)).to_dict()
+            h.update((json.dumps(d, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == (
+        "ac3569ce8979fcbc09f1d3bca0f4f17fdbb24d26f090838830b41cd5e700f45a")
+
+
 def test_m3_scan_memory_is_sliced():
     # s = 26 samples and u = 351 distinct products: one s^4 intp array
     # alone takes 3.7 MB
