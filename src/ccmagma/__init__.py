@@ -30,6 +30,6 @@ from .generation import (AbelianGroupSpec, ToyodaParams, element_orders,
 from .catalog import (CATALOG, ClosureError, DomainError, FamilyClassification,
                       Interval, ParametricFamily, SampleReport, classify_family,
                       default_samples, half_has_no_inverse_check,
-                      mobius_maps_into, monoid_formula_check,
-                      sampled_associativity, sampled_axiom_check)
+                      monoid_formula_check, sampled_associativity,
+                      sampled_axiom_check)
 from . import fixtures

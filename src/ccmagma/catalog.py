@@ -2,10 +2,11 @@
 evaluators, closed-form left-division solvers, sampled axiom checks and
 classification against the expected I..VI labels.
 
-Each family shape knows the Moebius/affine closed form of its solver, so
-the expansive/symmetric/monoid verdicts are decided by exact interval
-images of the domain, with witness sampling as confirmation.  Float-mode
-shapes (roots, log-exp) get witness-based verdicts at tolerance 1e-9.
+Each exact shape knows its Toyoda form, a monotone coordinate phi in which
+the operation is affine or a product, so the expansive/symmetric/monoid
+verdicts are exact interval images of phi(D), with witness sampling as
+confirmation.  Float-mode shapes (roots, log-exp) get witness-based
+verdicts at tolerance 1e-9.
 """
 
 from __future__ import annotations
@@ -84,121 +85,49 @@ NATURALS0 = Interval(0, None, integral=True)
 
 
 # ---------------------------------------------------------------------------
-# exact totality of v -> (p v + q)/(r v + s) from one interval into another
+# interval images under the maps of Toyoda coordinates
 
-# interval ends as (kind, value, open): kind -1 = -inf, 0 = finite, +1 = +inf
-_EndT = tuple[int, Optional[Fraction], bool]
-
-
-def _order_ends(e1: _EndT, e2: _EndT) -> tuple[_EndT, _EndT]:
-    def key(e):
-        kind, value, _ = e
-        return (kind, value if value is not None else 0)
-    return (e1, e2) if key(e1) <= key(e2) else (e2, e1)
-
-
-def _ends_within(lo_end: _EndT, hi_end: _EndT, dst: Interval) -> bool:
-    kind, v, is_open = lo_end
-    if kind == -1:
-        if dst.lo is not None:
-            return False
-    elif kind == 0 and dst.lo is not None:
-        if v < dst.lo:
-            return False
-        if v == dst.lo and dst.lo_open and not is_open:
-            return False
-    kind, v, is_open = hi_end
-    if kind == +1:
-        if dst.hi is not None:
-            return False
-    elif kind == 0 and dst.hi is not None:
-        if v > dst.hi:
-            return False
-        if v == dst.hi and dst.hi_open and not is_open:
-            return False
-    return True
+def _hull(iv: Interval) -> Interval:
+    """iv, or for a lattice the closed interval between its extreme points."""
+    if not iv.integral:
+        return iv
+    lo, hi = iv.lo, iv.hi
+    if lo is not None:
+        lo = math.floor(lo) + 1 if iv.lo_open else math.ceil(lo)
+    if hi is not None:
+        hi = math.ceil(hi) - 1 if iv.hi_open else math.floor(hi)
+    return Interval(lo, hi, integral=True)
 
 
-def mobius_maps_into(src: Interval, dst: Interval, p, q, r, s) -> bool:
-    """Exact decision of: for every v in src, (p v + q)/(r v + s) is defined
-    and lies in dst.
+def _affine(iv: Interval, s, o) -> Interval:
+    """{s v + o : v in iv} for s != 0, as ends; a lattice stays a lattice."""
+    lo = None if iv.lo is None else s * iv.lo + o
+    hi = None if iv.hi is None else s * iv.hi + o
+    if s > 0:
+        return Interval(lo, hi, iv.lo_open, iv.hi_open, iv.integral)
+    return Interval(hi, lo, iv.hi_open, iv.lo_open, iv.integral)
 
-    Poles inside src (including closed endpoints) fail; a pole sitting at an
-    open endpoint turns into a one-sided infinite limit.  Integer-lattice
-    targets are supported for affine maps only, and integer-lattice sources
-    for affine and constant maps only, which is all the catalog needs.
-    """
-    p, q, r, s = (Fraction(v) for v in (p, q, r, s))
-    if src.integral:    # a lattice source is judged by its extreme lattice points
-        lo, hi = src.lo, src.hi
-        if lo is not None:
-            lo = math.floor(lo) + 1 if src.lo_open else math.ceil(lo)
-        if hi is not None:
-            hi = math.ceil(hi) - 1 if src.hi_open else math.floor(hi)
-        if lo is not None and hi is not None and lo > hi:
-            return True     # no lattice point: nothing can fail
-        src = Interval(lo, hi, integral=True)
-    if src.lo is not None and src.lo == src.hi:
-        den = r * src.lo + s
-        if den == 0:
-            return False
-        return dst.contains((p * src.lo + q) / den)
 
-    if r == 0:
-        if s == 0:
-            raise ValueError("degenerate map")
-        slope, offset = p / s, q / s
-        if dst.integral:
-            if not src.integral:
-                raise NotImplementedError("integer target from non-integer source")
-            if slope.denominator != 1 or offset.denominator != 1:
-                return False    # consecutive integer inputs cannot all map to Z
-        if slope == 0:
-            return dst.contains(offset)
+def _reciprocal(iv: Interval) -> Interval:
+    """{1/v : v in iv} for an interval of positive numbers."""
+    return Interval(0 if iv.hi is None else 1 / iv.hi,
+                    None if iv.lo == 0 else 1 / iv.lo,
+                    iv.hi is None or iv.hi_open, iv.lo_open)
 
-        def affine_end(bound, is_open, side) -> _EndT:
-            if bound is None:
-                return (side if slope > 0 else -side, None, True)
-            return (0, slope * bound + offset, is_open)
 
-        ends = (affine_end(src.lo, src.lo_open, -1),
-                affine_end(src.hi, src.hi_open, +1))
-    else:
-        if dst.integral:
-            raise NotImplementedError("mobius totality over integer lattices")
-        pole = -s / r
-        det = p * s - q * r
-        if det == 0:
-            if src.contains(pole):
-                return False
-            return dst.contains(p / r)
-        if src.integral:
-            # the image of a lattice is no interval, so its ends decide nothing
-            raise NotImplementedError("mobius totality over integer lattices")
-        lo_in = src.lo is None or pole > src.lo or (pole == src.lo and not src.lo_open)
-        hi_in = src.hi is None or pole < src.hi or (pole == src.hi and not src.hi_open)
-        if lo_in and hi_in:
-            return False        # pole belongs to src: unsolvable there
-
-        def mobius_end(bound, is_open, is_lo_end) -> _EndT:
-            if bound is None:
-                return (0, p / r, True)
-            if bound == pole:   # open endpoint at the pole: one-sided blow-up
-                numer_sign = 1 if p * pole + q > 0 else -1
-                r_sign = 1 if r > 0 else -1
-                side = 1 if is_lo_end else -1
-                return (numer_sign * r_sign * side, None, True)
-            return (0, (p * bound + q) / (r * bound + s), is_open)
-
-        ends = (mobius_end(src.lo, src.lo_open, True),
-                mobius_end(src.hi, src.hi_open, False))
-
-    lo_end, hi_end = _order_ends(*ends)
-    return _ends_within(lo_end, hi_end, dst)
+def _within(a: Interval, b: Interval) -> bool:
+    """a is a subset of b, judged by their ends."""
+    lo_ok = b.lo is None or (a.lo is not None and (
+        a.lo > b.lo or (a.lo == b.lo and (a.lo_open or not b.lo_open))))
+    hi_ok = b.hi is None or (a.hi is not None and (
+        a.hi < b.hi or (a.hi == b.hi and (a.hi_open or not b.hi_open))))
+    return lo_ok and hi_ok
 
 
 # ---------------------------------------------------------------------------
-# family shapes: formula + closed-form solver + analytic totality
+# family shapes: formula + closed-form solver + Toyoda form (phi, phi(D),
+# alpha, beta): phi(x op y) = alpha (phi x + phi y) + beta, or with
+# alpha = beta = None, phi(x op y) = phi x * phi y on positive numbers
 
 @dataclass(frozen=True)
 class AffineFamily:
@@ -226,23 +155,8 @@ class AffineFamily:
         x = self.beta / (1 - 2 * self.alpha)
         return (x,) if self.domain.contains(x) else ()
 
-    def expansive_total(self, e) -> bool:
-        d = self.domain
-        return mobius_maps_into(d, d, 1 / self.alpha,
-                                -self.beta / self.alpha - e, 0, 1)
-
-    def symmetric_total(self, e) -> bool:
-        d = self.domain
-        return mobius_maps_into(d, d, -1, (e - self.beta) / self.alpha, 0, 1)
-
-    def monoid_total(self, e) -> bool:
-        # the star product is x + y - e regardless of alpha, so totality is
-        # about the sum interval, never about divisibility by alpha
-        d = self.domain
-        sums = Interval(None if d.lo is None else 2 * d.lo,
-                        None if d.hi is None else 2 * d.hi,
-                        d.lo_open, d.hi_open, d.integral)
-        return mobius_maps_into(sums, d, 1, -e, 0, 1)
+    def toyoda_form(self):
+        return (lambda x: x), _hull(self.domain), self.alpha, self.beta
 
 
 @dataclass(frozen=True)
@@ -254,8 +168,7 @@ class HarmonicFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(self.c))
-        d = self.domain
-        if d.lo is None or d.lo < 0 or (d.lo == 0 and not d.lo_open):
+        if not _within(self.domain, POS_REALS):
             raise ValueError("harmonic families need a strictly positive carrier")
 
     def evaluate_raw(self, x, y):
@@ -270,20 +183,8 @@ class HarmonicFamily:
     def idempotent_elements(self):
         return "all" if self.c == 2 else ()
 
-    def _solver_coeffs(self, e):
-        return (e, 0, -1, self.c * e)
-
-    def expansive_total(self, e) -> bool:
-        return mobius_maps_into(self.domain, self.domain, *self._solver_coeffs(e))
-
-    def symmetric_total(self, e) -> bool:
-        return mobius_maps_into(self.domain, self.domain, e, 0, self.c, -e)
-
-    def monoid_total(self, e) -> bool:
-        # c = 2 makes the operation a mean: its range is exactly the domain
-        if self.c != 2:
-            raise ValueError("units only exist in the c = 2 case")
-        return self.expansive_total(e)
+    def toyoda_form(self):
+        return (lambda x: 1 / x), _reciprocal(self.domain), 1 / self.c, Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -297,6 +198,8 @@ class ProbSumFamily:
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         if self.gamma == 0:
             raise ValueError("gamma = 0 is the plain-sum affine shape")
+        if not _within(_affine(_hull(self.domain), self.gamma, 1), POS_REALS):
+            raise ValueError("prob-sum families need 1 + gamma x > 0 on the carrier")
 
     def evaluate_raw(self, x, y):
         return x + y + self.gamma * x * y
@@ -311,27 +214,9 @@ class ProbSumFamily:
         out = [Fraction(0), Fraction(-1) / self.gamma]
         return tuple(x for x in dict.fromkeys(out) if self.domain.contains(x))
 
-    def _op_range(self) -> Interval:
-        # increasing in each argument while 1 + gamma v > 0 on the domain
-        d = self.domain
-
-        def diag(v):
-            return 2 * v + self.gamma * v * v
-
-        lo = None if d.lo is None else diag(d.lo)
-        hi = None if d.hi is None else diag(d.hi)
-        return Interval(lo, hi, d.lo_open, d.hi_open, d.integral)
-
-    def expansive_total(self, e) -> bool:
-        return mobius_maps_into(self.domain, self.domain,
-                                1, -e, 0, 1 + self.gamma * e)
-
-    def symmetric_total(self, e) -> bool:
-        return mobius_maps_into(self.domain, self.domain, -1, e, self.gamma, 1)
-
-    def monoid_total(self, e) -> bool:
-        return mobius_maps_into(self._op_range(), self.domain,
-                                1, -e, 0, 1 + self.gamma * e)
+    def toyoda_form(self):
+        image = _affine(self.domain, self.gamma, 1)
+        return (lambda x: 1 + self.gamma * x), image, None, None
 
 
 @dataclass(frozen=True)
@@ -339,6 +224,10 @@ class TanhSumFamily:
     """x op y = (x + y)/(1 + x y), the addition law of tanh."""
     domain: Interval
     mode = "exact"
+
+    def __post_init__(self):
+        if not _within(self.domain, Interval(-1, 1, True, True)):
+            raise ValueError("tanh-sum families need a carrier inside ]-1, 1[")
 
     def evaluate_raw(self, x, y):
         return (x + y) / (1 + x * y)
@@ -350,8 +239,12 @@ class TanhSumFamily:
         return (b - a) / den
 
     def idempotent_elements(self):
-        return tuple(x for x in (Fraction(0), Fraction(1), Fraction(-1))
-                     if self.domain.contains(x))
+        return (Fraction(0),) if self.domain.contains(Fraction(0)) else ()
+
+    def toyoda_form(self):
+        # (1 + x)/(1 - x) = 2/(1 - x) - 1
+        image = _affine(_reciprocal(_affine(self.domain, -1, 1)), 2, -1)
+        return (lambda x: (1 + x) / (1 - x)), image, None, None
 
 
 def _cbrt(v: float) -> float:
@@ -843,6 +736,26 @@ def _flag_with_evidence(fam: ParametricFamily, name: str, analytic: Optional[boo
     return flag, evidence
 
 
+def _totality(shape: Shape, e: Fraction) -> tuple[bool, bool, bool]:
+    """Exact (expansive, symmetric, monoid) totality at e: with I = phi(D)
+    and eps = phi(e), whether (I - beta)/alpha - eps, (eps - beta)/alpha - I
+    and I + I - eps, or I/eps, eps/I and I I/eps, lie in I.  On a lattice of
+    two or more points a non-integer coefficient leaves Z."""
+    if shape.domain.integral and not isinstance(shape, AffineFamily):
+        raise NotImplementedError("totality over an integer lattice needs an affine shape")
+    phi, iv, alpha, beta = shape.toyoda_form()
+    eps = phi(e)
+    if alpha is None:
+        squares = Interval(iv.lo ** 2, None if iv.hi is None else iv.hi ** 2,
+                           iv.lo_open, iv.hi_open)
+        return tuple(_within(_affine(src, s, 0), iv) for src, s in
+                     ((iv, 1 / eps), (_reciprocal(iv), eps), (squares, 1 / eps)))
+    maps = ((1 / alpha, -beta / alpha - eps), (-1, (eps - beta) / alpha), (2, -eps))
+    lattice = iv.integral and (iv.lo is None or iv.lo != iv.hi)
+    return tuple(_within(_affine(iv, s, o), iv) and not (
+        lattice and (s.denominator != 1 or o.denominator != 1)) for s, o in maps)
+
+
 def classify_family(fam: ParametricFamily,
                     samples: Optional[Sequence[Number]] = None) -> FamilyClassification:
     """Flags from the shape's exact totality deciders (witness-confirmed), or
@@ -852,13 +765,14 @@ def classify_family(fam: ParametricFamily,
         raise ValueError(f"{fam.id} has no designated unit")
     e = fam.unit
     pts = list(samples) if samples is not None else default_samples(fam)
-    exact = fam.mode == "exact"     # only exact shapes define *_total deciders
+    # float shapes are judged by their witnesses alone
+    total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
 
     expansive, ev_exp = _flag_with_evidence(
-        fam, "expansive", fam.shape.expansive_total(e) if exact else None,
+        fam, "expansive", total[0],
         ((f"a={a}", fam.solve_left(e, a)) for a in pts))
     symmetric, ev_sym = _flag_with_evidence(
-        fam, "symmetric", fam.shape.symmetric_total(e) if exact else None,
+        fam, "symmetric", total[1],
         ((f"a={a}", fam.solve_left(a, e)) for a in pts))
 
     def monoid_attempts():
@@ -872,7 +786,7 @@ def classify_family(fam: ParametricFamily,
                 yield (f"pair=({x},{y})", fam.solve_left(e, z))
 
     monoid, ev_mon = _flag_with_evidence(
-        fam, "monoid", fam.shape.monoid_total(e) if exact else None,
+        fam, "monoid", total[2],
         monoid_attempts())
     group = monoid and symmetric
     label = classify(expansive, symmetric, monoid, group)

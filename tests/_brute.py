@@ -1,7 +1,12 @@
 """Independent brute-force oracles, kept free of the library's own code
 paths: plain loops, no numpy, no shared helpers."""
 
+from __future__ import annotations
+
+import math
+from fractions import Fraction
 from itertools import permutations, product
+from typing import Optional
 
 
 def brute_axioms(table):
@@ -268,6 +273,159 @@ def brute_sampled_axiom_check(fam, samples=None, denominator=16, classify_too=Tr
     return SampleReport(fam.id, len(pts), m1, m2, m3,
                         None if exact else worst, closure,
                         label, expected, matches)
+
+
+# ---------------------------------------------------------------------------
+# exact totality of v -> (p v + q)/(r v + s) from one interval into another:
+# the general Moebius-with-poles engine the catalog once decided with
+
+# interval ends as (kind, value, open): kind -1 = -inf, 0 = finite, +1 = +inf
+_EndT = tuple[int, Optional[Fraction], bool]
+
+
+def _order_ends(e1: _EndT, e2: _EndT) -> tuple[_EndT, _EndT]:
+    def key(e):
+        kind, value, _ = e
+        return (kind, value if value is not None else 0)
+    return (e1, e2) if key(e1) <= key(e2) else (e2, e1)
+
+
+def _ends_within(lo_end: _EndT, hi_end: _EndT, dst: Interval) -> bool:
+    kind, v, is_open = lo_end
+    if kind == -1:
+        if dst.lo is not None:
+            return False
+    elif kind == 0 and dst.lo is not None:
+        if v < dst.lo:
+            return False
+        if v == dst.lo and dst.lo_open and not is_open:
+            return False
+    kind, v, is_open = hi_end
+    if kind == +1:
+        if dst.hi is not None:
+            return False
+    elif kind == 0 and dst.hi is not None:
+        if v > dst.hi:
+            return False
+        if v == dst.hi and dst.hi_open and not is_open:
+            return False
+    return True
+
+
+def mobius_maps_into(src: Interval, dst: Interval, p, q, r, s) -> bool:
+    """Exact decision of: for every v in src, (p v + q)/(r v + s) is defined
+    and lies in dst.
+
+    Poles inside src (including closed endpoints) fail; a pole sitting at an
+    open endpoint turns into a one-sided infinite limit.  Integer-lattice
+    targets are supported for affine maps only, and integer-lattice sources
+    for affine and constant maps only, which is all the catalog needs.
+    """
+    from ccmagma.catalog import Interval
+
+    p, q, r, s = (Fraction(v) for v in (p, q, r, s))
+    if src.integral:    # a lattice source is judged by its extreme lattice points
+        lo, hi = src.lo, src.hi
+        if lo is not None:
+            lo = math.floor(lo) + 1 if src.lo_open else math.ceil(lo)
+        if hi is not None:
+            hi = math.ceil(hi) - 1 if src.hi_open else math.floor(hi)
+        if lo is not None and hi is not None and lo > hi:
+            return True     # no lattice point: nothing can fail
+        src = Interval(lo, hi, integral=True)
+    if src.lo is not None and src.lo == src.hi:
+        den = r * src.lo + s
+        if den == 0:
+            return False
+        return dst.contains((p * src.lo + q) / den)
+
+    if r == 0:
+        if s == 0:
+            raise ValueError("degenerate map")
+        slope, offset = p / s, q / s
+        if dst.integral:
+            if not src.integral:
+                raise NotImplementedError("integer target from non-integer source")
+            if slope.denominator != 1 or offset.denominator != 1:
+                return False    # consecutive integer inputs cannot all map to Z
+        if slope == 0:
+            return dst.contains(offset)
+
+        def affine_end(bound, is_open, side) -> _EndT:
+            if bound is None:
+                return (side if slope > 0 else -side, None, True)
+            return (0, slope * bound + offset, is_open)
+
+        ends = (affine_end(src.lo, src.lo_open, -1),
+                affine_end(src.hi, src.hi_open, +1))
+    else:
+        if dst.integral:
+            raise NotImplementedError("mobius totality over integer lattices")
+        pole = -s / r
+        det = p * s - q * r
+        if det == 0:
+            if src.contains(pole):
+                return False
+            return dst.contains(p / r)
+        if src.integral:
+            # the image of a lattice is no interval, so its ends decide nothing
+            raise NotImplementedError("mobius totality over integer lattices")
+        lo_in = src.lo is None or pole > src.lo or (pole == src.lo and not src.lo_open)
+        hi_in = src.hi is None or pole < src.hi or (pole == src.hi and not src.hi_open)
+        if lo_in and hi_in:
+            return False        # pole belongs to src: unsolvable there
+
+        def mobius_end(bound, is_open, is_lo_end) -> _EndT:
+            if bound is None:
+                return (0, p / r, True)
+            if bound == pole:   # open endpoint at the pole: one-sided blow-up
+                numer_sign = 1 if p * pole + q > 0 else -1
+                r_sign = 1 if r > 0 else -1
+                side = 1 if is_lo_end else -1
+                return (numer_sign * r_sign * side, None, True)
+            return (0, (p * bound + q) / (r * bound + s), is_open)
+
+        ends = (mobius_end(src.lo, src.lo_open, True),
+                mobius_end(src.hi, src.hi_open, False))
+
+    lo_end, hi_end = _order_ends(*ends)
+    return _ends_within(lo_end, hi_end, dst)
+
+
+def brute_totality(shape, e):
+    """(expansive, symmetric, monoid) totality at e from the Moebius
+    coefficients of each shape's left-division solver x op e = v (or
+    x op v = e), over the domain or over the operation's range."""
+    from ccmagma.catalog import AffineFamily, HarmonicFamily, Interval, ProbSumFamily
+
+    d = shape.domain
+
+    def image(f):       # ends of an increasing map, as an Interval
+        return Interval(None if d.lo is None else f(d.lo),
+                        None if d.hi is None else f(d.hi),
+                        d.lo_open, d.hi_open, d.integral)
+
+    if isinstance(shape, AffineFamily):
+        a, b = shape.alpha, shape.beta
+        # the star product is x + y - e regardless of alpha, so totality is
+        # about the sum interval, never about divisibility by alpha
+        return (mobius_maps_into(d, d, 1 / a, -b / a - e, 0, 1),
+                mobius_maps_into(d, d, -1, (e - b) / a, 0, 1),
+                mobius_maps_into(image(lambda v: 2 * v), d, 1, -e, 0, 1))
+    if isinstance(shape, HarmonicFamily):
+        c = shape.c
+        # the range is (c/2) D, so D itself for the mean c = 2
+        return (mobius_maps_into(d, d, e, 0, -1, c * e),
+                mobius_maps_into(d, d, e, 0, c, -e),
+                mobius_maps_into(image(lambda v: c * v / 2), d, e, 0, -1, c * e))
+    if isinstance(shape, ProbSumFamily):
+        g = shape.gamma
+        # increasing in each argument while 1 + g v > 0 on the domain
+        return (mobius_maps_into(d, d, 1, -e, 0, 1 + g * e),
+                mobius_maps_into(d, d, -1, e, g, 1),
+                mobius_maps_into(image(lambda v: 2 * v + g * v * v), d,
+                                 1, -e, 0, 1 + g * e))
+    raise NotImplementedError(f"no Moebius deciders for {type(shape).__name__}")
 
 
 def brute_parse(text):

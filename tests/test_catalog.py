@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import tracemalloc
 from dataclasses import dataclass
@@ -11,15 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccmagma import fixtures
-from ccmagma.catalog import (CATALOG, REALS, AffineFamily, CubeRootFamily,
-                             DomainError, Interval, ParametricFamily, ProbSumFamily,
+from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, REALS,
+                             AffineFamily, CubeRootFamily, DomainError,
+                             HarmonicFamily, Interval, ParametricFamily,
+                             ProbSumFamily, TanhSumFamily, _totality,
                              classify_family, default_samples,
-                             half_has_no_inverse_check, mobius_maps_into,
-                             monoid_formula_check, sampled_associativity,
-                             sampled_axiom_check)
+                             half_has_no_inverse_check, monoid_formula_check,
+                             sampled_associativity, sampled_axiom_check)
 from ccmagma.core import check_axioms
 
-from _brute import brute_sampled_axiom_check
+from _brute import brute_sampled_axiom_check, brute_totality, mobius_maps_into
 
 F = Fraction
 H = CATALOG["harmonic-(0,1]"]
@@ -131,6 +133,181 @@ class TestMobius:
             den = r * x + s
             assert den != 0
             assert src.contains((p * x + q) / den)
+
+
+DECIDED = (AffineFamily, HarmonicFamily, ProbSumFamily)
+
+
+def _catalog_pairs():
+    """Each catalog shape with Moebius deciders, at every sample of grids 7
+    and 16 and at its unit."""
+    for fid in sorted(CATALOG):
+        fam = CATALOG[fid]
+        if isinstance(fam.shape, DECIDED):
+            units = set() if fam.unit is None else {fam.unit}
+            for e in sorted({*default_samples(fam, 7), *default_samples(fam, 16)} | units):
+                yield fam.shape, e
+
+
+def _fraction(rng, bound=4):
+    return F(rng.randint(-4 * bound, 4 * bound), rng.choice((1, 2, 3, 4)))
+
+
+def _real_interval(rng, lo_min=None):
+    """Open, closed, half-open or unbounded, with rational ends."""
+    while True:
+        lo = None if rng.random() < 0.3 else _fraction(rng)
+        hi = None if rng.random() < 0.3 else _fraction(rng)
+        if lo_min is not None:
+            lo = lo_min + abs(lo) if lo is not None else lo_min
+        if lo is None or hi is None or lo < hi:
+            return Interval(lo, hi, rng.random() < 0.5 or lo == lo_min,
+                            rng.random() < 0.5)
+
+
+def _lattice(rng):
+    """Z, N0, or a half-line or segment of Z with closed integer ends."""
+    a, b = sorted(rng.sample(range(-6, 7), 2))
+    return rng.choice((INTEGERS, NATURALS0, Interval(a, None, integral=True),
+                       Interval(None, b, integral=True), Interval(a, b, integral=True)))
+
+
+def _random_shape(rng):
+    """A random shape of a kind with Moebius deciders, and a point of it."""
+    kind = rng.randrange(4)
+    while True:
+        nonzero = _fraction(rng) or F(1)
+        try:
+            if kind == 0:
+                shape = AffineFamily(nonzero, _fraction(rng), _real_interval(rng))
+            elif kind == 1:
+                whole = rng.random() < 0.5
+                alpha = F(rng.choice((-3, -2, -1, 1, 2, 3))) if whole else nonzero
+                beta = F(rng.randint(-3, 3)) if whole else _fraction(rng)
+                shape = AffineFamily(alpha, beta, _lattice(rng))
+            elif kind == 2:
+                c = F(2) if rng.random() < 0.5 else abs(nonzero)
+                shape = HarmonicFamily(c, _real_interval(rng, lo_min=F(0)))
+            else:
+                shape = ProbSumFamily(nonzero, _real_interval(rng))
+        except ValueError:      # a prob-sum carrier where 1 + gamma x <= 0
+            continue
+        d = shape.domain
+        # closed ends are where totality most often holds, so favour them
+        points = [x for x in (F(k, 4) for k in range(-40, 41)) if d.contains(x)]
+        ends = [x for x in (d.lo, d.hi) if x is not None and d.contains(x)]
+        if points:
+            return shape, rng.choice(ends if ends and rng.random() < 0.5 else points)
+
+
+class TestTotality:
+    """_totality in Toyoda coordinates against the Moebius deciders."""
+
+    def test_catalog_pairs_match_the_oracle(self):
+        pairs = list(_catalog_pairs())
+        assert len(pairs) == 502
+        for shape, e in pairs:
+            assert _totality(shape, e) == brute_totality(shape, e), (shape, e)
+
+    def test_random_shapes_match_the_oracle(self):
+        rng = random.Random(20141)
+        compared = 0
+        for _ in range(2400):
+            shape, e = _random_shape(rng)
+            try:
+                want = brute_totality(shape, e)
+            except NotImplementedError:
+                continue
+            assert _totality(shape, e) == want, (shape, e)
+            compared += 1
+        assert compared >= 2000
+
+    def test_open_lattice_end_is_judged_by_its_first_point(self):
+        # a + b - 1 on the positive integers is (N0, +) moved to the unit 1.
+        # A sum interval taken from the written end 0 starts at 1, not 2, so
+        # the star would seem to reach 1 - 1 = 0 and the monoid be refused,
+        # which with expansive True is no possible flag combination
+        pos = Interval(0, None, lo_open=True, integral=True)
+        fam = ParametricFamily("sum-1-Z+", AffineFamily(1, -1, pos), "a+b-1",
+                               1, None, True)
+        assert _totality(fam.shape, F(1)) == (True, False, True)
+        assert classify_family(fam).label.label == "II"
+
+    def test_one_point_lattice_is_total(self):
+        shape = AffineFamily(2, 0, Interval(0, 0, integral=True))
+        assert _totality(shape, F(0)) == (True, True, True)
+
+    @pytest.mark.parametrize("shape", [HarmonicFamily(2, Interval(1, None, integral=True)),
+                                       ProbSumFamily(1, NATURALS0)],
+                             ids=["harmonic", "prob-sum"])
+    def test_non_affine_lattice_is_not_decided(self, shape):
+        with pytest.raises(NotImplementedError, match="integer lattice"):
+            _totality(shape, F(1))
+
+    def test_tanh_sum_with_a_unit_is_a_group(self):
+        # ]-1, 1[ under the addition law of tanh is (R, +) through artanh
+        fam = ParametricFamily("tanh-(-1,1)",
+                               TanhSumFamily(Interval(-1, 1, True, True)),
+                               "(a+b)/(1+ab)", 0, None, True)
+        verdict = classify_family(fam)
+        assert verdict.label.label == "I"
+        for flag in ("expansive", "symmetric", "monoid"):
+            assert verdict.evidence[flag]["analytic"] is True
+
+
+class TestCarrierChecks:
+    @pytest.mark.parametrize("make", [
+        lambda: ProbSumFamily(1, REALS),                  # -1 absorbs
+        lambda: ProbSumFamily(1, Interval(-1, 0)),        # 1 + x = 0 at -1
+        lambda: ProbSumFamily(-1, NONNEG_REALS),          # 1 - x < 0 beyond 1
+        lambda: ProbSumFamily(F(1, 2), Interval(-3, None, integral=True)),
+        lambda: HarmonicFamily(2, Interval(0, 1)),
+        lambda: TanhSumFamily(Interval(-1, 1)),           # +-1 absorb
+        lambda: TanhSumFamily(Interval(0, 2, True, True)),
+    ])
+    def test_degenerate_carriers_are_refused(self, make):
+        with pytest.raises(ValueError, match="carrier"):
+            make()
+
+    def test_carriers_up_to_the_bound_are_accepted(self):
+        ProbSumFamily(1, Interval(-1, 0, lo_open=True))
+        ProbSumFamily(-1, Interval(0, 1, hi_open=True))
+        # 1 + 2x/5 is 0 at -5/2, but this lattice starts at -2
+        ProbSumFamily(F(2, 5), Interval(F(-11, 4), None, integral=True))
+        TanhSumFamily(Interval(-1, 1, True, True))
+        TanhSumFamily(Interval(F(-1, 2), F(1, 2)))
+
+
+def _form_holds(fam, alpha, beta) -> bool:
+    """phi(x op y) = alpha (phi x + phi y) + beta on the grid-16 samples, or
+    phi(x op y) = (phi x phi y) ** alpha when beta is None."""
+    phi = fam.shape.toyoda_form()[0]
+    pts = default_samples(fam, 16)
+    for x, y in product(pts, repeat=2):
+        lhs = phi(fam.evaluate(x, y))
+        if beta is None:
+            rhs = (phi(x) * phi(y)) ** alpha
+        else:
+            rhs = alpha * (phi(x) + phi(y)) + beta
+        if lhs != rhs:
+            return False
+    return True
+
+
+class TestToyodaForm:
+    @pytest.mark.parametrize("fid", sorted(f for f in CATALOG if CATALOG[f].mode == "exact"))
+    def test_form_holds_and_a_perturbed_one_fails(self, fid):
+        fam = CATALOG[fid]
+        phi, image, alpha, beta = fam.shape.toyoda_form()
+        assert all(image.contains(phi(x)) for x in default_samples(fam, 16))
+        if alpha is None:       # multiplicative: alpha is the identity
+            assert _form_holds(fam, 1, None)
+            assert not _form_holds(fam, 2, None)
+            assert fam.associative
+        else:
+            assert _form_holds(fam, alpha, beta)
+            assert not _form_holds(fam, alpha + F(1, 7), beta)
+            assert fam.associative == (alpha == 1)
 
 
 class TestEvaluateAndSolve:
