@@ -149,19 +149,20 @@ def _catalog_pairs():
                 yield fam.shape, e
 
 
-def _fraction(rng, bound=4):
-    return F(rng.randint(-4 * bound, 4 * bound), rng.choice((1, 2, 3, 4)))
+def _fraction(rng):
+    return F(rng.randint(-16, 16), rng.choice((1, 2, 3, 4)))
 
 
-def _real_interval(rng, lo_min=None):
-    """Open, closed, half-open or unbounded, with rational ends."""
+def _real_interval(rng, positive=False):
+    """Open, closed, half-open or unbounded, with rational ends; a positive
+    one starts at a rational or at an open 0."""
     while True:
         lo = None if rng.random() < 0.3 else _fraction(rng)
         hi = None if rng.random() < 0.3 else _fraction(rng)
-        if lo_min is not None:
-            lo = lo_min + abs(lo) if lo is not None else lo_min
+        if positive:
+            lo = abs(lo or 0)
         if lo is None or hi is None or lo < hi:
-            return Interval(lo, hi, rng.random() < 0.5 or lo == lo_min,
+            return Interval(lo, hi, rng.random() < 0.5 or (positive and lo == 0),
                             rng.random() < 0.5)
 
 
@@ -187,7 +188,7 @@ def _random_shape(rng):
                 shape = AffineFamily(alpha, beta, _lattice(rng))
             elif kind == 2:
                 c = F(2) if rng.random() < 0.5 else abs(nonzero)
-                shape = HarmonicFamily(c, _real_interval(rng, lo_min=F(0)))
+                shape = HarmonicFamily(c, _real_interval(rng, positive=True))
             else:
                 shape = ProbSumFamily(nonzero, _real_interval(rng))
         except ValueError:      # a prob-sum carrier where 1 + gamma x <= 0
