@@ -55,6 +55,16 @@ class FiniteMagma:
     def table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.arr.tolist()))
 
+    @cached_property
+    def _abelian_group_identity(self) -> Optional[int]:
+        """The identity when the table is an abelian group, else None;
+        proved once per object, so every reader shares one proof."""
+        e = group_identity(self)
+        if (e is None or not (self.arr == e).any(axis=1).all()
+                or _commutative_monoid_gens(self.arr, e) is None):
+            return None
+        return e
+
     @property
     def order(self) -> int:
         return len(self.arr)
@@ -258,11 +268,22 @@ def _associative_on(p: np.ndarray, gens: list[int]) -> bool:
     return all(np.array_equal(p[p[:, g]], p[:, p[g]]) for g in gens)
 
 
-def _is_commutative_monoid(star: np.ndarray, e: int) -> bool:
-    """Unit e, commutative and associative."""
-    return (np.array_equal(star[e], np.arange(len(star)))
-            and np.array_equal(star, star.T)
-            and _associative_on(star, _generators(star)))
+def _commutative_monoid_gens(star: np.ndarray, e: int) -> Optional[list[int]]:
+    """The generators Light's test passed on when star has unit e and is
+    commutative and associative, or None.  Every abelian-group proof goes
+    through here; callers check further laws on the same generators.
+    """
+    if not (np.array_equal(star[e], np.arange(len(star)))
+            and np.array_equal(star, star.T)):
+        return None
+    gens = _generators(star)
+    return gens if _associative_on(star, gens) else None
+
+
+def group_identity(star: FiniteMagma) -> Optional[int]:
+    """The smallest e whose row is the identity map, or None."""
+    hits = (star.arr == np.arange(star.order)).all(axis=1)
+    return int(hits.argmax()) if hits.any() else None
 
 
 def _toyoda_certificate(t: np.ndarray) -> Optional[np.ndarray]:
@@ -281,8 +302,8 @@ def _toyoda_certificate(t: np.ndarray) -> Optional[np.ndarray]:
     """
     inv = _column_inverse(t, 0)
     plus = t[inv][:, inv]
-    gens = _generators(plus)
-    if not _associative_on(plus, gens):
+    gens = _commutative_monoid_gens(plus, t[0, 0])
+    if gens is None:
         return None
     r = t[:, 0]
     shift = r[t[0, 0]]

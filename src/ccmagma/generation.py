@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (FiniteMagma, _column_inverse, _is_commutative_monoid,
-                   idempotents)
+from .core import FiniteMagma, _column_inverse, idempotents
+from .core import group_identity  # noqa: F401  (part of this module's API)
 
 
 @dataclass(frozen=True)
@@ -209,36 +209,15 @@ def extract_group(m: FiniteMagma, e: int) -> Optional[FiniteMagma]:
     if (inv < 0).any():
         raise ValueError(f"column {e} is not injective: table is not cancellative")
     star = FiniteMagma(inv[m.arr])
-    if not _is_abelian_group(star, e):
-        return None
-    return star
-
-
-def _is_abelian_group(star: FiniteMagma, e: int) -> bool:
-    t = star.arr
-    return _is_commutative_monoid(t, e) and bool((t == e).any(axis=1).all())
-
-
-def group_identity(star: FiniteMagma) -> Optional[int]:
-    """The smallest e whose row is the identity map, or None."""
-    hits = (star.arr == np.arange(star.order)).all(axis=1)
-    return int(hits.argmax()) if hits.any() else None
-
-
-def _require_group(star: FiniteMagma) -> int:
-    e = group_identity(star)
-    if e is None or not _is_abelian_group(star, e):
-        raise ValueError("input is not an abelian group table")
-    return e
+    # an abelian group has one identity row, so this is the test at e
+    return star if star._abelian_group_identity == e else None
 
 
 def element_orders(star: FiniteMagma) -> tuple[int, ...]:
     """Multiplicative order of each element, by power iteration."""
-    return _element_orders(star, _require_group(star))
-
-
-def _element_orders(star: FiniteMagma, e: int) -> tuple[int, ...]:
-    """element_orders of a table already verified as a group with identity e."""
+    e = star._abelian_group_identity
+    if e is None:
+        raise ValueError("input is not an abelian group table")
     x = np.arange(star.order)
     acc, orders, k = x, np.zeros_like(x), 1
     while not orders.all():
@@ -254,7 +233,7 @@ def invariant_factors(star: FiniteMagma) -> list[int]:
     partition of the p-primary component; recombining per slot gives the
     d_1 | d_2 | ... list that determines the group up to isomorphism.
     """
-    orders = _element_orders(star, _require_group(star))
+    orders = element_orders(star)
     n = star.order
     if n == 1:
         return []

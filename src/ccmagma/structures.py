@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (FiniteMagma, Homomorphism, _associativity_violation,
-                   _column_inverse, _first, _first_sliced, _generators,
-                   _is_commutative_monoid, idempotents)
+                   _column_inverse, _commutative_monoid_gens, _first,
+                   _first_sliced, idempotents)
 
 
 class NotIdempotentError(ValueError):
@@ -87,9 +87,8 @@ def _monoid_invariants_hold(m: FiniteMagma, e: int, star: np.ndarray) -> bool:
     associativity, compatibility with the base operation, and the defining
     identity star(x,y) op e = x op y."""
     t = m.arr
-    if not _is_commutative_monoid(star, e):
-        return False
-    if not np.array_equal(t[star, e], t):
+    gens = _commutative_monoid_gens(star, e)
+    if gens is None or not np.array_equal(t[star, e], t):
         return False
     # compatibility (x*y) op (z*w) = (x op z)*(y op w) says that
     # (x, z) -> x op z is a homomorphism (Q,*)^2 -> (Q,*).  With * an
@@ -97,8 +96,7 @@ def _monoid_invariants_hold(m: FiniteMagma, e: int, star: np.ndarray) -> bool:
     # the generators (g, e) and (e, g) of (Q,*)^2 is exhaustive.  op is
     # commutative here (x op y = (x*y) op e), so (g, e) covers (e, g):
     # [x, z] = (x*g) op z  vs  (x op z)*(g op e)
-    return all(np.array_equal(t[star[:, g]], star[t, t[g, e]])
-               for g in _generators(star))
+    return all(np.array_equal(t[star[:, g]], star[t, t[g, e]]) for g in gens)
 
 
 def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
@@ -207,7 +205,7 @@ def associativity_equivalences(m: FiniteMagma, e: int) -> AssociativityReport:
     assoc = _associativity_violation(t) is None
     unit = np.array_equal(t[e], np.arange(m.order))
     dbl = double_table(m, e) == tuple(m.elements())
-    monoid_direct = _monoid_invariants_hold(m, e, t.copy())
+    monoid_direct = _monoid_invariants_hold(m, e, t)
     rep = AssociativityReport(assoc, unit, dbl, monoid_direct)
     if len(set(rep.all_flags())) != 1:
         raise ValueError(f"equivalence broken: {rep}; table is not a valid ccm-magma")

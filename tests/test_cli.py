@@ -10,9 +10,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmagma import __version__, cli, fixtures
+from ccmagma import __version__, cli, core, fixtures, structures
 from ccmagma.cli import main
-from ccmagma.core import format_magma
+from ccmagma.core import format_magma, idempotents
+from ccmagma.generation import generate_quasigroup
 
 from _brute import reference_parser
 from conftest import A2, F5A, Z9A
@@ -184,6 +185,36 @@ class TestExtractGroup:
         out = tmp_path / "group.tbl"
         run(capsys, "extract-group", f5_file, "--unit", "0", "--out", str(out))
         assert out.read_text() == format_magma(fixtures.cyclic_add(5))
+
+
+class TestGroupProofsPerCommand:
+    def test_generator_searches_per_command(self, capsys, monkeypatch, tmp_path):
+        """One abelian-group proof per table: check_axioms' certificate,
+        then internal_monoid's star and the extracted group, whose verdict
+        invariant_factors reuses."""
+        m = next(m for seed in range(50) for m in [generate_quasigroup(64, seed)[0]]
+                 if idempotents(m))
+        path = tmp_path / "t64.tbl"
+        path.write_text(format_magma(m))
+        calls = []
+        search = core._generators
+
+        def counted(p):
+            calls.append(len(p))
+            return search(p)
+
+        monkeypatch.setattr(core, "_generators", counted)
+        # a module that imported the name holds its own binding
+        monkeypatch.setattr(structures, "_generators", counted, raising=False)
+        unit = str(idempotents(m)[0])
+        counts = {}
+        for argv in (["check", str(path)], ["classify", str(path), "--unit", unit],
+                     ["extract-group", str(path), "--unit", unit]):
+            calls.clear()
+            assert main(argv) == 0
+            counts[argv[0]] = len(calls)
+        capsys.readouterr()
+        assert counts == {"check": 1, "classify": 3, "extract-group": 2}
 
 
 class TestRelation:

@@ -353,6 +353,29 @@ class TestCheckAxioms:
                     if exhaustive:
                         assert brute_monoid_invariants(table, mon.star, e)
 
+    def test_monoid_invariant_failure_matches_brute_force(self):
+        """A relabelled input is commutative and Latin, so its star always
+        exists: internal_monoid raises exactly when the invariants fail,
+        which on these inputs is exactly when the table is not medial."""
+        outcomes = set()
+        for kind, table in _axiom_inputs():
+            m = FiniteMagma(table)
+            if kind != "relabelled" or not idempotents(m):
+                continue
+            e = idempotents(m)[0]
+            holds = brute_monoid_invariants(table, brute_star(table, e), e)
+            assert holds is brute_axioms(table)["medial"]
+            try:
+                internal_monoid(m, e)
+                raised = False
+            except ValueError as exc:
+                assert str(exc) == ("constructed star table violates monoid invariants; "
+                                    "the base table is not a valid ccm-magma")
+                raised = True
+            assert raised is not holds, len(table)
+            outcomes.add(raised)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("defect", [None, "cell", "intercalate"])
     def test_memory_stays_below_cubic(self, defect):
         n = 96

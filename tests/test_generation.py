@@ -17,7 +17,7 @@ from ccmagma.generation import (AbelianGroupSpec, ToyodaParams, element_orders,
 from ccmagma.structures import internal_monoid
 
 from conftest import A2, F5A, Z9A
-from _brute import brute_groups_isomorphic
+from _brute import brute_axioms, brute_groups_isomorphic
 
 
 class TestGroupSpec:
@@ -222,6 +222,49 @@ class TestInvariantFactors:
                 expected = brute_groups_isomorphic(tables[s1].table,
                                                    tables[s2].table)
                 assert groups_isomorphic(tables[s1], tables[s2]) == expected
+
+
+def _factor_chains(n, base=1):
+    """Every invariant-factor tuple of order n whose factors are multiples
+    of base."""
+    if n == 1:
+        yield ()
+    for f in range(2, n + 1):
+        if n % f == 0 and f % base == 0:
+            for rest in _factor_chains(n // f, f):
+                yield (f, *rest)
+
+
+class TestGroupRejectionOracle:
+    def test_swapped_intercalate_matches_brute_associativity(self):
+        """A symmetric intercalate on rows and columns a, b != 0 keeps the
+        table commutative and Latin with identity row 0, so the group test
+        can fail only on associativity."""
+        rng = random.Random(13)
+        outcomes = set()
+        for n in range(2, 25):
+            for factors in _factor_chains(n):
+                group = AbelianGroupSpec(factors).addition_table.table
+                pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)
+                         if group[a][a] == group[b][b]]
+                for a, b in [(0, 0)] + rng.sample(pairs, min(3, len(pairs))):
+                    rows = [list(r) for r in group]
+                    if a:
+                        x, y = rows[a][a], rows[a][b]
+                        rows[a][a] = rows[b][b] = y
+                        rows[a][b] = rows[b][a] = x
+                    star = FiniteMagma(rows)
+                    associative = brute_axioms(star.table)["associative"]
+                    for fn in (invariant_factors, element_orders):
+                        try:
+                            fn(star)
+                            rejected = False
+                        except ValueError as exc:
+                            assert str(exc) == "input is not an abelian group table"
+                            rejected = True
+                        assert rejected is not associative, (factors, a, b)
+                        outcomes.add(rejected)
+        assert outcomes == {True, False}
 
 
 class TestGroupsIsomorphic:
