@@ -289,10 +289,8 @@ class GeometricFamily:
 
 @dataclass(frozen=True)
 class LogSumExpFamily:
-    """x op y = log(exp x + exp y), float mode, sampled on a bounded window
-    although the carrier is the whole real line."""
+    """x op y = log(exp x + exp y), float mode."""
     domain: Interval
-    window: tuple[int, int]
     mode = "float"
 
     def evaluate_raw(self, x, y):
@@ -471,9 +469,11 @@ def _entries() -> list[ParametricFamily]:
                          "a+b", None, None, True, (_frac(2),)),
         ParametricFamily("tanh-sum-(0,1)", TanhSumFamily(unit_open),
                          "(a+b)/(1+ab)", None, None, True),
-        ParametricFamily("logsumexp-R", LogSumExpFamily(REALS, (-10, 10)),
+        # the carrier is the whole line: sample every 4th integer of [-10, 10]
+        ParametricFamily("logsumexp-R", LogSumExpFamily(REALS),
                          "log(e^a+e^b)", None, None, True,
-                         (_frac(-3), _frac(-1), _frac(1, 2), _frac(2), _frac(5))),
+                         (_frac(-3), _frac(-1), _frac(1, 2), _frac(2), _frac(5),
+                          *map(_frac, range(-10, 11, 4)))),
     ]
 
 
@@ -493,9 +493,6 @@ def default_samples(fam: ParametricFamily, denominator: int = 16) -> list:
     if d.hi is not None and not d.hi_open:
         pts.add(d.hi)
     pts.update(Fraction(x) for x in fam.extra_samples)
-    if isinstance(fam.shape, LogSumExpFamily):
-        lo, hi = fam.shape.window
-        pts.update(Fraction(k) for k in range(lo, hi + 1, 4))
     kept = sorted(p for p in pts if d.contains(p))
     if fam.mode == "float":
         return [float(p) for p in kept]
@@ -511,9 +508,19 @@ class SampleReport:
     m3_ok: bool
     worst_residual: Optional[float]
     closure_violations: int
-    classification: Optional[str]
-    expected: Optional[str]
-    matches_expected: Optional[bool]
+    verdict: Optional[FamilyClassification]     # for a family with a unit
+
+    @property
+    def classification(self) -> Optional[str]:
+        return None if self.verdict is None else self.verdict.label.label
+
+    @property
+    def expected(self) -> Optional[str]:
+        return None if self.verdict is None else self.verdict.expected
+
+    @property
+    def matches_expected(self) -> Optional[bool]:
+        return None if self.verdict is None else self.verdict.matches_expected
 
     def to_dict(self) -> dict:
         return {
@@ -556,11 +563,11 @@ def _pair_table(fam: ParametricFamily, pts: Sequence[Number]) -> tuple[np.ndarra
 
 def sampled_axiom_check(fam: ParametricFamily,
                         samples: Optional[Sequence[Number]] = None,
-                        denominator: int = 16,
-                        classify_too: bool = True) -> SampleReport:
+                        denominator: int = 16) -> SampleReport:
     """M1 over pairs, M2 by solver-inversion spot checks, M3 over all
     quadruples of the sample set.  Exact mode demands equality; float mode
-    tracks the worst residual against tolerance 1e-9.
+    tracks the worst residual against tolerance 1e-9.  A family with a unit
+    is classified from the same pair table.
 
     Each distinct ordered product is evaluated once per call: products of
     samples come from _pair_table, products of two such products from a
@@ -651,16 +658,9 @@ def sampled_axiom_check(fam: ParametricFamily,
             worst = max(worst, top)
             m3 = m3 and top <= FLOAT_TOL
 
-    label = expected = None
-    matches = None
-    if classify_too and fam.unit is not None:
-        verdict = classify_family(fam, pts)
-        label = verdict.label.label
-        expected = fam.expected_label
-        matches = verdict.matches_expected
+    verdict = None if fam.unit is None else _classify(fam, pts, pairs, values)
     return SampleReport(fam.id, len(pts), m1, m2, m3,
-                        None if exact else worst, closure,
-                        label, expected, matches)
+                        None if exact else worst, closure, verdict)
 
 
 def sampled_associativity(fam: ParametricFamily,
@@ -763,8 +763,16 @@ def classify_family(fam: ParametricFamily,
     classifier."""
     if fam.unit is None:
         raise ValueError(f"{fam.id} has no designated unit")
-    e = fam.unit
     pts = list(samples) if samples is not None else default_samples(fam)
+    return _classify(fam, pts, *_pair_table(fam, pts))
+
+
+def _classify(fam: ParametricFamily, pts: list, pairs: np.ndarray,
+              values: list) -> FamilyClassification:
+    """classify_family on the pair table of pts: the monoid witness of pair
+    (x, y) solves theta op e = x op y, once per distinct product, and is
+    None where x op y escapes the carrier."""
+    e = fam.unit
     # float shapes are judged by their witnesses alone
     total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
 
@@ -774,20 +782,11 @@ def classify_family(fam: ParametricFamily,
     symmetric, ev_sym = _flag_with_evidence(
         fam, "symmetric", total[1],
         ((f"a={a}", fam.solve_left(a, e)) for a in pts))
-
-    def monoid_attempts():
-        for x in pts:
-            for y in pts:
-                try:
-                    z = fam.evaluate(x, y)
-                except ClosureError:
-                    yield (f"pair=({x},{y})", None)
-                    continue
-                yield (f"pair=({x},{y})", fam.solve_left(e, z))
-
+    thetas = [fam.solve_left(e, z) for z in values]
     monoid, ev_mon = _flag_with_evidence(
         fam, "monoid", total[2],
-        monoid_attempts())
+        ((f"pair=({x},{y})", None if k < 0 else thetas[k])
+         for x, row in zip(pts, pairs.tolist()) for y, k in zip(pts, row)))
     group = monoid and symmetric
     label = classify(expansive, symmetric, monoid, group)
     matches = None if fam.expected_label is None else (label.label == fam.expected_label)
@@ -805,11 +804,11 @@ def monoid_formula_check(samples: Optional[Sequence[Fraction]] = None) -> bool:
     pts = list(samples) if samples is not None else default_samples(fam)
     for x in pts:
         for y in pts:
-            theta = fam.star(x, y)
-            expected = x * y / (x + y - x * y)
-            if theta != expected:
+            z = fam.evaluate(x, y)
+            theta = fam.solve_left(fam.unit, z)
+            if theta != x * y / (x + y - x * y):
                 return False
-            if fam.evaluate(theta, fam.unit) != fam.evaluate(x, y):
+            if fam.evaluate(theta, fam.unit) != z:
                 return False
     return True
 

@@ -14,14 +14,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .catalog import (CATALOG, classify_family, default_samples,
-                      half_has_no_inverse_check, monoid_formula_check,
-                      sampled_axiom_check)
+from .catalog import (CATALOG, default_samples, half_has_no_inverse_check,
+                      monoid_formula_check, sampled_axiom_check)
 from .core import (FiniteMagma, ParseError, check_axioms, format_magma,
                    idempotent_subalgebra, idempotents, parse_magma,
                    subalgebra_closure)
@@ -262,20 +260,13 @@ def _cmd_catalog(args) -> int:
         for known in CATALOG:
             print(f"  {known}", file=sys.stderr)
         return EXIT_USAGE
-    samples = default_samples(fam, args.samples)
-    # classify once and fill the sample report's label fields from that verdict
-    sample_report = sampled_axiom_check(fam, samples, classify_too=False)
-    verdict = classify_family(fam, samples) if fam.unit is not None else None
-    if verdict is not None:
-        sample_report = replace(sample_report, classification=verdict.label.label,
-                                expected=verdict.expected,
-                                matches_expected=verdict.matches_expected)
+    sample_report = sampled_axiom_check(fam, default_samples(fam, args.samples))
     results = sample_report.to_dict()
     results["formula"] = fam.formula
     results["domain"] = str(fam.domain)
     results["mode"] = fam.mode
-    if verdict is not None:
-        results["classification_detail"] = verdict.to_dict()
+    if sample_report.verdict is not None:
+        results["classification_detail"] = sample_report.verdict.to_dict()
     if fam.id == "harmonic-(0,1]":
         results["star_formula_ok"] = monoid_formula_check()
         results["half_has_no_inverse"] = half_has_no_inverse_check()

@@ -195,12 +195,51 @@ def endomorphism_pool(table, limit=None):
     return found
 
 
-def brute_sampled_axiom_check(fam, samples=None, denominator=16, classify_too=True):
+def brute_classify_family(fam, samples=None):
+    """classify_family with one fam.evaluate and one solve per monoid
+    witness pair: the reference for catalog.classify_family and for the
+    verdict of catalog.sampled_axiom_check."""
+    from ccmagma.catalog import (ClosureError, FamilyClassification,
+                                 _flag_with_evidence, _totality, default_samples)
+    from ccmagma.structures import classify
+
+    if fam.unit is None:
+        raise ValueError(f"{fam.id} has no designated unit")
+    e = fam.unit
+    pts = list(samples) if samples is not None else default_samples(fam)
+    total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
+
+    expansive, ev_exp = _flag_with_evidence(
+        fam, "expansive", total[0],
+        ((f"a={a}", fam.solve_left(e, a)) for a in pts))
+    symmetric, ev_sym = _flag_with_evidence(
+        fam, "symmetric", total[1],
+        ((f"a={a}", fam.solve_left(a, e)) for a in pts))
+
+    def monoid_attempts():
+        for x in pts:
+            for y in pts:
+                try:
+                    z = fam.evaluate(x, y)
+                except ClosureError:
+                    yield (f"pair=({x},{y})", None)
+                    continue
+                yield (f"pair=({x},{y})", fam.solve_left(e, z))
+
+    monoid, ev_mon = _flag_with_evidence(fam, "monoid", total[2], monoid_attempts())
+    label = classify(expansive, symmetric, monoid, monoid and symmetric)
+    matches = None if fam.expected_label is None else (label.label == fam.expected_label)
+    return FamilyClassification(fam.id, label, fam.expected_label, matches,
+                                {"expansive": ev_exp, "symmetric": ev_sym,
+                                 "monoid": ev_mon})
+
+
+def brute_sampled_axiom_check(fam, samples=None, denominator=16):
     """The sampled M1/M2/M3 check with one fam.evaluate per call site and
     no memo: the reference for catalog.sampled_axiom_check, closure
     counts and worst residual included."""
     from ccmagma.catalog import (FLOAT_TOL, ClosureError, SampleReport,
-                                 classify_family, default_samples)
+                                 default_samples)
 
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
@@ -263,16 +302,9 @@ def brute_sampled_axiom_check(fam, samples=None, denominator=16, classify_too=Tr
                         worst = max(worst, abs(lhs - rhs))
                         m3 = m3 and abs(lhs - rhs) <= FLOAT_TOL
 
-    label = expected = None
-    matches = None
-    if classify_too and fam.unit is not None:
-        verdict = classify_family(fam, pts)
-        label = verdict.label.label
-        expected = fam.expected_label
-        matches = verdict.matches_expected
+    verdict = None if fam.unit is None else brute_classify_family(fam, pts)
     return SampleReport(fam.id, len(pts), m1, m2, m3,
-                        None if exact else worst, closure,
-                        label, expected, matches)
+                        None if exact else worst, closure, verdict)
 
 
 # ---------------------------------------------------------------------------

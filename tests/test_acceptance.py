@@ -80,7 +80,7 @@ def test_criterion_03_classification_table():
     checked = 0
     for fam in CATALOG.values():
         if fam.unit is None:
-            rep = sampled_axiom_check(fam, denominator=8, classify_too=False)
+            rep = sampled_axiom_check(fam, denominator=8)
             assert rep.m1_ok and rep.m2_ok and rep.m3_ok, fam.id
             assert rep.closure_violations == 0
             continue
@@ -90,7 +90,7 @@ def test_criterion_03_classification_table():
             assert verdict.matches_expected
             checked += 1
         if fam.mode == "float":
-            rep = sampled_axiom_check(fam, denominator=8, classify_too=False)
+            rep = sampled_axiom_check(fam, denominator=8)
             assert rep.worst_residual is not None and rep.worst_residual <= 1e-9
     assert checked == 18
     _passed(3, f"{checked} published labels reproduced; "

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmagma import fixtures
+from ccmagma import cli, fixtures
 from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, REALS,
                              AffineFamily, CubeRootFamily, DomainError,
                              HarmonicFamily, Interval, ParametricFamily,
@@ -21,7 +21,8 @@ from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, REALS,
                              sampled_associativity, sampled_axiom_check)
 from ccmagma.core import check_axioms
 
-from _brute import brute_sampled_axiom_check, brute_totality, mobius_maps_into
+from _brute import (brute_classify_family, brute_sampled_axiom_check, brute_totality,
+                    mobius_maps_into)
 
 F = Fraction
 H = CATALOG["harmonic-(0,1]"]
@@ -363,7 +364,7 @@ class TestSampledAxioms:
     @pytest.mark.parametrize("fid", sorted(CATALOG))
     def test_all_families_pass(self, fid):
         fam = CATALOG[fid]
-        rep = sampled_axiom_check(fam, denominator=8, classify_too=False)
+        rep = sampled_axiom_check(fam, denominator=8)
         assert rep.m1_ok and rep.m2_ok and rep.m3_ok
         assert rep.closure_violations == 0
         if fam.mode == "float":
@@ -386,10 +387,20 @@ class TestSampledAxioms:
         import random
         rng = random.Random(7)
         pts = [rng.uniform(0.05, 0.95) for _ in range(16)]
-        rep = sampled_axiom_check(CATALOG["geometric-(0,1)"], pts,
-                                  classify_too=False)
+        rep = sampled_axiom_check(CATALOG["geometric-(0,1)"], pts)
         assert rep.m1_ok and rep.m2_ok and rep.m3_ok
         assert rep.worst_residual <= 1e-9
+
+
+def test_default_samples_digest():
+    # every family's sample list at denominators 1..64, as reprs
+    h = hashlib.sha256()
+    for fid in sorted(CATALOG):
+        for g in range(1, 65):
+            pts = default_samples(CATALOG[fid], g)
+            h.update(f"{fid} {g} {' '.join(map(repr, pts))}\n".encode())
+    assert h.hexdigest() == (
+        "c87a68a3547b9dedaccff7801fd9ab486e8862a3529839295588aec360309dea")
 
 
 def test_sample_report_digest():
@@ -424,8 +435,7 @@ def test_m3_scan_memory_is_sliced():
     # alone takes 3.7 MB
     tracemalloc.start()
     try:
-        sampled_axiom_check(CATALOG["logsumexp-R"], denominator=16,
-                            classify_too=False)
+        sampled_axiom_check(CATALOG["logsumexp-R"], denominator=16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -479,8 +489,8 @@ class TestSampledAxiomOracle:
         rng = random.Random(7)
         pts = [rng.uniform(0.05, 0.95) for _ in range(16)]
         fam = CATALOG["geometric-(0,1)"]
-        assert (sampled_axiom_check(fam, pts, classify_too=False)
-                == brute_sampled_axiom_check(fam, pts, classify_too=False))
+        assert (sampled_axiom_check(fam, pts)
+                == brute_sampled_axiom_check(fam, pts))
 
     @pytest.mark.parametrize("trap", [
         {(F(-1, 6), F(-2, 3))},
@@ -523,6 +533,69 @@ class TestSampledAxiomOracle:
             rep = sampled_axiom_check(fam, denominator=denominator)
             assert rep.closure_violations > 0
             assert rep == brute_sampled_axiom_check(fam, denominator=denominator)
+
+
+def _verdict_or_error(classify_fn):
+    try:
+        return classify_fn().to_dict()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_classifiers_agree(fam, pts):
+    want = _verdict_or_error(lambda: brute_classify_family(fam, pts))
+    assert _verdict_or_error(lambda: classify_family(fam, pts)) == want
+    assert _verdict_or_error(lambda: sampled_axiom_check(fam, pts).verdict) == want
+    return want
+
+
+class TestClassificationOracle:
+    """classify_family and the verdict of sampled_axiom_check, both read from
+    one pair table, against one evaluation and one solve per witness pair."""
+
+    @pytest.mark.parametrize("fid", sorted(f for f in CATALOG if CATALOG[f].unit is not None))
+    def test_catalog_grids(self, fid):
+        fam = CATALOG[fid]
+        for g in (*range(2, 9), 16):
+            _assert_classifiers_agree(fam, default_samples(fam, g))
+
+    def test_geometric_random_samples(self):
+        rng = random.Random(7)
+        pts = [rng.uniform(0.05, 0.95) for _ in range(16)]
+        _assert_classifiers_agree(CATALOG["geometric-(0,1)"], pts)
+
+    def test_escaped_products_refute_the_monoid(self):
+        # 9 ((x^3 + y^3)/1000)^(1/3) leaves [0, 1] for large x and y
+        fam = ParametricFamily("cr", CubeRootFamily(9, 1000, Interval(0, 1)),
+                               "f", 0, None, False)
+        for g, closure in zip(range(2, 9), (33, 74, 153, 250, 405, 680, 1027)):
+            want = _assert_classifiers_agree(fam, default_samples(fam, g))
+            assert want["label"] == "IV"
+            assert want["evidence"]["monoid"]["refuting_witness"] == "pair=(0.0,1.0)"
+            assert sampled_axiom_check(fam, denominator=g).closure_violations == closure
+
+
+def test_catalog_command_evaluates_each_sample_product_once(monkeypatch):
+    # an exact family's command evaluates only its s^2 sample products; the
+    # harmonic-(0,1] command adds two closed-form checks: 16^2 pairs of
+    # monoid_formula_check, two evaluations each, and one per star_solve
+    calls = []
+    evaluate = ParametricFamily.evaluate
+
+    def counted(self, x, y):
+        calls.append(self.id)
+        return evaluate(self, x, y)
+
+    monkeypatch.setattr(ParametricFamily, "evaluate", counted)
+    for fid, fam in CATALOG.items():
+        before = len(calls)
+        cli.main(["catalog", "--family", fid, "--samples", "8"])
+        s = len(default_samples(fam, 8))
+        if fid == "harmonic-(0,1]":
+            assert len(calls) - before == s * s + 2 * 16 * 16 + 2
+        elif fam.mode == "exact" and fam.unit is not None:
+            assert len(calls) - before == s * s, fid
+    assert len(calls) == 4075
 
 
 class TestClassification:
