@@ -153,6 +153,27 @@ def brute_monoid_invariants(table, star, e):
     return True
 
 
+def commutative_latin_squares(n):
+    """Every commutative Latin square of order n, by backtracking over the
+    cells (i, j) with i <= j in row order; only usable at tiny orders."""
+    rows = [[None] * n for _ in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v in rows[i] or v in rows[j]:
+                continue
+            rows[i][j] = rows[j][i] = v
+            yield from fill(k + 1)
+            rows[i][j] = rows[j][i] = None
+
+    yield from fill(0)
+
+
 def brute_groups_isomorphic(t1, t2):
     """Search all bijections; only usable at tiny orders."""
     n = len(t1)

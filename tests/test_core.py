@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmagma import fixtures
+from ccmagma import core, fixtures
 from ccmagma.core import (FiniteMagma, Homomorphism, ParseError,
                           _associative_on, _column_inverse, _generators,
                           _toyoda_certificate, check_axioms, constant_hom,
@@ -20,7 +20,8 @@ from ccmagma.relations import full_relation, subalgebra_relation
 from ccmagma.structures import internal_monoid, midpoint_distributivity_check
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
-from _brute import brute_axioms, brute_monoid_invariants, brute_parse, brute_star
+from _brute import (brute_axioms, brute_monoid_invariants, brute_parse, brute_star,
+                    commutative_latin_squares)
 
 A2_TEXT = "3\n0 2 1\n2 1 0\n1 0 2"
 
@@ -375,6 +376,57 @@ class TestCheckAxioms:
             assert raised is not holds, len(table)
             outcomes.add(raised)
         assert outcomes == {True, False}
+
+    def test_every_commutative_latin_square_matches_brute_force(self):
+        """All 825 commutative Latin squares of orders 1-5: the axiom
+        report, and at every idempotent whether internal_monoid raises."""
+        squares = [t for n in range(1, 6) for t in commutative_latin_squares(n)]
+        assert len(squares) == 825
+        outcomes = set()
+        for table in squares:
+            m = FiniteMagma(table)
+            assert _as_oracle(check_axioms(m)) == brute_axioms(table), table
+            for e in idempotents(m):
+                holds = brute_monoid_invariants(table, brute_star(table, e), e)
+                try:
+                    internal_monoid(m, e)
+                    raised = False
+                except ValueError as exc:
+                    assert str(exc) == ("constructed star table violates monoid invariants; "
+                                        "the base table is not a valid ccm-magma")
+                    raised = True
+                assert raised is not holds, (table, e)
+                outcomes.add(raised)
+        assert outcomes == {True, False}
+
+    def test_certificate_accepts_every_valid_table(self, monkeypatch):
+        """The O(n^4) M3 scan, the one sliced scan of n^2 slices, never runs
+        on a medial commutative Latin square and always runs on a
+        non-medial one, so the certificate alone decides M3 there."""
+        counts = []
+        scan = core._first_sliced
+
+        def counted(count, slice_at):
+            counts.append(count)
+            return scan(count, slice_at)
+
+        monkeypatch.setattr(core, "_first_sliced", counted)
+
+        def m3_scanned(table):
+            counts.clear()
+            check_axioms(FiniteMagma(table))
+            return len(table) ** 2 in counts
+
+        for n in range(2, 65):
+            for seed in range(3):
+                assert not m3_scanned(generate_quasigroup(n, seed)[0].arr), (n, seed)
+        medial = set()
+        for n in range(2, 6):
+            for table in commutative_latin_squares(n):
+                is_medial = brute_axioms(table)["medial"]
+                assert m3_scanned(table) is not is_medial, table
+                medial.add(is_medial)
+        assert medial == {True, False}
 
     @pytest.mark.parametrize("defect", [None, "cell", "intercalate"])
     def test_memory_stays_below_cubic(self, defect):
