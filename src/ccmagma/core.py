@@ -271,12 +271,13 @@ def _associative_on(p: np.ndarray, gens: list[int]) -> bool:
 def _commutative_monoid_gens(star: np.ndarray, e: int) -> Optional[list[int]]:
     """The generators Light's test passed on when star has unit e and is
     commutative and associative, or None.  Every abelian-group proof goes
-    through here; callers check further laws on the same generators.
+    through here; callers check further laws on the same generators.  The
+    unit passes every such law, so it is left out of them.
     """
     if not (np.array_equal(star[e], np.arange(len(star)))
             and np.array_equal(star, star.T)):
         return None
-    gens = _generators(star)
+    gens = [g for g in _generators(star) if g != e]
     return gens if _associative_on(star, gens) else None
 
 
@@ -286,34 +287,28 @@ def group_identity(star: FiniteMagma) -> Optional[int]:
     return int(hits.argmax()) if hits.any() else None
 
 
-def _toyoda_certificate(t: np.ndarray) -> Optional[np.ndarray]:
-    """The automorphism alpha that proves a commutative Latin square medial,
-    or None when the certificate fails.
+def _toyoda_gens(t: np.ndarray, e: int, star: np.ndarray) -> Optional[list[int]]:
+    """The generators on which t is proved in Toyoda form over star at e,
+    or None.
 
-    Dividing by column 0 gives the commutative loop x (+) y = inv[x] op inv[y]
-    with identity z = 0 op 0, and then x op y = R(x) (+) R(y) with
-    R(x) = x op 0.  When (+) is associative (an abelian group) and
-    alpha(x) = R(x) (-) R(z) is an automorphism of it, x op y equals
-    alpha(x) (+) alpha(y) (+) 2 R(z), which is medial, and associative
-    exactly when alpha is the identity.  Toyoda (1941) and Bruck (1944)
-    show the converse, so on a commutative Latin square the certificate
-    fails only when the table is not medial.  Both checks run on a
-    generating set of (+), O(n^2 log n) in all.
+    Checks that star is a commutative monoid with unit e, that
+    star(x, y) op e = x op y, so x op y = R(x * y) with R(x) = x op e,
+    and that R is affine on each generator g:
+    R(x * g) * c = R(x) * R(g) with c = R(e).  Precondition: star is
+    Latin or e is idempotent (c = e), so that c cancels; then the g
+    passing form a submagma and generators suffice, O(n) each.  On a
+    group star, x op y = alpha(x) * alpha(y) * c with the automorphism
+    alpha(x) = R(x) * c^-1, which is medial (Toyoda 1941, Bruck 1944)
+    and associative iff R(x) = x * c for all x.  At an idempotent e, R
+    is an endomorphism of star: the monoid's compatibility law.
     """
-    inv = _column_inverse(t, 0)
-    plus = t[inv][:, inv]
-    gens = _commutative_monoid_gens(plus, t[0, 0])
-    if gens is None:
+    gens = _commutative_monoid_gens(star, e)
+    r = t[:, e]
+    if gens is None or not np.array_equal(r[star], t):
         return None
-    r = t[:, 0]
-    shift = r[t[0, 0]]
-    alpha = plus[r, int(np.argmax(plus[shift] == t[0, 0]))]
-    # alpha(x (+) g) = alpha(x) (+) alpha(g); once (+) is associative the g
-    # passing this form a submagma, so generators suffice
-    if not all(np.array_equal(alpha[plus[:, g]], plus[alpha, alpha[g]])
-               for g in gens):
-        return None
-    return alpha
+    c = r[e]
+    affine = all(np.array_equal(star[r[star[:, g]], c], star[r, r[g]]) for g in gens)
+    return gens if affine else None
 
 
 def check_axioms(m: FiniteMagma) -> AxiomReport:
@@ -321,11 +316,11 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
 
     M1 is one comparison with the transpose, O(n^2), and M2 a permutation
     test of every row and column, O(n^2 log n).  On a commutative Latin
-    square, M3 is decided by the Toyoda-Bruck certificate in
-    O(n^2 log n), which also says whether the table is associative.  The
-    sliced scans, O(n^2) memory each, run only to find the
-    lexicographically smallest counterexample, or to decide M3 when M1 or
-    M2 fails or the certificate does.
+    square, M3 is decided by the Toyoda-Bruck certificate on the star
+    star(x, y) op 0 = x op y in O(n^2 log n), which also says whether the
+    table is associative.  The sliced scans, O(n^2) memory each, run only
+    to find the lexicographically smallest counterexample, or to decide M3
+    when M1 or M2 fails or the certificate does.
     """
     t = m.arr
     n = m.order
@@ -347,8 +342,8 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
             if canc_ce is not None:
                 break
 
-    alpha = _toyoda_certificate(t) if comm_ce is None and latin else None
-    if alpha is None:
+    star = _column_inverse(t, 0)[t] if comm_ce is None and latin else None
+    if star is None or _toyoda_gens(t, 0, star) is None:
         # slice (a, b): [c, d] = (a op b) op (c op d)  vs  (a op c) op (b op d)
         hit = _first_sliced(
             n * n, lambda i: t[t.flat[i]][t] != t[np.ix_(t[i // n], t[i % n])])
@@ -356,7 +351,7 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
         assoc_ce = _associativity_violation(t)
     else:
         medial_ce = None
-        assoc_ce = (None if np.array_equal(alpha, idx)
+        assoc_ce = (None if np.array_equal(t[:, 0], star[:, t[0, 0]])
                     else _associativity_violation(t))
 
     return AxiomReport(

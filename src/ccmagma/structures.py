@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (FiniteMagma, Homomorphism, _associativity_violation,
-                   _column_inverse, _commutative_monoid_gens, _first,
-                   _first_sliced, idempotents)
+                   _column_inverse, _first, _first_sliced, _toyoda_gens,
+                   idempotents)
 
 
 class NotIdempotentError(ValueError):
@@ -82,23 +82,6 @@ class GroupStructure:
         return f"GroupStructure(order={self.monoid.base.order}, unit={self.monoid.unit})"
 
 
-def _monoid_invariants_hold(m: FiniteMagma, e: int, star: np.ndarray) -> bool:
-    """All MonoidStructure invariants: unit laws, commutativity,
-    associativity, compatibility with the base operation, and the defining
-    identity star(x,y) op e = x op y."""
-    t = m.arr
-    gens = _commutative_monoid_gens(star, e)
-    if gens is None or not np.array_equal(t[star, e], t):
-        return False
-    # compatibility (x*y) op (z*w) = (x op z)*(y op w) says that
-    # (x, z) -> x op z is a homomorphism (Q,*)^2 -> (Q,*).  With * an
-    # associative monoid, the pairs it respects form a submagma, so checking
-    # the generators (g, e) and (e, g) of (Q,*)^2 is exhaustive.  op is
-    # commutative here (x op y = (x*y) op e), so (g, e) covers (e, g):
-    # [x, z] = (x*g) op z  vs  (x op z)*(g op e)
-    return all(np.array_equal(t[star[:, g]], star[t, t[g, e]]) for g in gens)
-
-
 def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
     """Monoid with unit e whose star solves star(x,y) op e = x op y.
 
@@ -110,7 +93,7 @@ def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
     star = _column_inverse(m.arr, e)[m.arr]
     if (star < 0).any():
         return None
-    if not _monoid_invariants_hold(m, e, star):
+    if _toyoda_gens(m.arr, e, star) is None:
         raise ValueError("constructed star table violates monoid invariants; "
                          "the base table is not a valid ccm-magma")
     return MonoidStructure(base=m, unit=e, magma=FiniteMagma(star))
@@ -205,7 +188,7 @@ def associativity_equivalences(m: FiniteMagma, e: int) -> AssociativityReport:
     assoc = _associativity_violation(t) is None
     unit = np.array_equal(t[e], np.arange(m.order))
     dbl = double_table(m, e) == tuple(m.elements())
-    monoid_direct = _monoid_invariants_hold(m, e, t)
+    monoid_direct = _toyoda_gens(t, e, t) is not None
     rep = AssociativityReport(assoc, unit, dbl, monoid_direct)
     if len(set(rep.all_flags())) != 1:
         raise ValueError(f"equivalence broken: {rep}; table is not a valid ccm-magma")

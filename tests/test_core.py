@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ccmagma import core, fixtures
 from ccmagma.core import (FiniteMagma, Homomorphism, ParseError,
                           _associative_on, _column_inverse, _generators,
-                          _toyoda_certificate, check_axioms, constant_hom,
+                          _toyoda_gens, check_axioms, constant_hom,
                           derived_magma, format_magma, identity_hom,
                           idempotent_subalgebra, idempotents, is_homomorphism,
                           pair_hom, pair_split, parse_magma, product_magma,
@@ -329,8 +329,8 @@ class TestCheckAxioms:
             branches.add(_certificate_branch(np.array(table)))
         # the inputs reach the certificate's every outcome, including both
         # ways it can fail on a commutative Latin square
-        assert branches == {"not-latin", "certified", "plus-not-associative",
-                            "alpha-not-additive"}
+        assert branches == {"not-latin", "certified", "star-not-associative",
+                            "R-not-affine"}
 
     def test_star_matches_brute_force_on_generated_and_defective(self):
         for kind, table in _axiom_inputs():
@@ -398,6 +398,24 @@ class TestCheckAxioms:
                 assert raised is not holds, (table, e)
                 outcomes.add(raised)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("twist", [lambda a, b: (a, (b + (a == 2)) % 3),
+                                       lambda a, b: ((a + (b == 2)) % 3, b)])
+    def test_certificate_checks_every_generator(self, twist):
+        """x op y = R(x + y) over Z3 x Z3 (element 3a + b), with R a
+        bijection fixing 0 that is additive along one generator of the
+        greedy pair {1, 3} but not the other: commutative, Latin, and not
+        medial, which only the check on the second generator can see."""
+        def r(x):
+            a, b = twist(*divmod(x, 3))
+            return 3 * a + b
+        table = tuple(tuple(r(3 * ((x // 3 + y // 3) % 3) + (x + y) % 3) for y in range(9))
+                      for x in range(9))
+        m = FiniteMagma(table)
+        assert _as_oracle(check_axioms(m)) == brute_axioms(table)
+        assert not check_axioms(m).medial and check_axioms(m).cancellative
+        with pytest.raises(ValueError, match="violates monoid invariants"):
+            internal_monoid(m, 0)
 
     def test_certificate_accepts_every_valid_table(self, monkeypatch):
         """The O(n^4) M3 scan, the one sliced scan of n^2 slices, never runs
@@ -523,13 +541,12 @@ def _certificate_branch(t):
     if not (np.array_equal(t, t.T)
             and (np.sort(t, axis=0) == np.arange(len(t))[:, None]).all()):
         return "not-latin"
-    if _toyoda_certificate(t) is not None:
+    star = _column_inverse(t, 0)[t]
+    if _toyoda_gens(t, 0, star) is not None:
         return "certified"
-    inv = _column_inverse(t, 0)
-    plus = t[inv][:, inv]
-    if not _associative_on(plus, _generators(plus)):
-        return "plus-not-associative"
-    return "alpha-not-additive"
+    if not _associative_on(star, _generators(star)):
+        return "star-not-associative"
+    return "R-not-affine"
 
 
 class TestIdempotents:
