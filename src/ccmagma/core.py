@@ -56,14 +56,17 @@ class FiniteMagma:
         return tuple(map(tuple, self.arr.tolist()))
 
     @cached_property
-    def _abelian_group_identity(self) -> Optional[int]:
-        """The identity when the table is an abelian group, else None;
+    def _star0(self) -> Optional[np.ndarray]:
+        """The star with star0(x, y) op 0 = x op y when the table is a
+        commutative Latin square that _toyoda_gens certifies, else None;
         proved once per object, so every reader shares one proof."""
-        e = group_identity(self)
-        if (e is None or not (self.arr == e).any(axis=1).all()
-                or _commutative_monoid_gens(self.arr, e) is None):
+        t = self.arr
+        if not (np.array_equal(t, t.T)  # then Latin iff every column is a permutation
+                and (np.sort(t, axis=0) == np.arange(len(t))[:, None]).all()):
             return None
-        return e
+        star = _column_inverse(t, 0)[t]
+        star.setflags(write=False)
+        return star if _toyoda_gens(t, 0, star) is not None else None
 
     @property
     def order(self) -> int:
@@ -268,19 +271,6 @@ def _associative_on(p: np.ndarray, gens: list[int]) -> bool:
     return all(np.array_equal(p[p[:, g]], p[:, p[g]]) for g in gens)
 
 
-def _commutative_monoid_gens(star: np.ndarray, e: int) -> Optional[list[int]]:
-    """The generators Light's test passed on when star has unit e and is
-    commutative and associative, or None.  Every abelian-group proof goes
-    through here; callers check further laws on the same generators.  The
-    unit passes every such law, so it is left out of them.
-    """
-    if not (np.array_equal(star[e], np.arange(len(star)))
-            and np.array_equal(star, star.T)):
-        return None
-    gens = [g for g in _generators(star) if g != e]
-    return gens if _associative_on(star, gens) else None
-
-
 def group_identity(star: FiniteMagma) -> Optional[int]:
     """The smallest e whose row is the identity map, or None."""
     hits = (star.arr == np.arange(star.order)).all(axis=1)
@@ -291,24 +281,32 @@ def _toyoda_gens(t: np.ndarray, e: int, star: np.ndarray) -> Optional[list[int]]
     """The generators on which t is proved in Toyoda form over star at e,
     or None.
 
-    Checks that star is a commutative monoid with unit e, that
-    star(x, y) op e = x op y, so x op y = R(x * y) with R(x) = x op e,
-    and that R is affine on each generator g:
-    R(x * g) * c = R(x) * R(g) with c = R(e).  Precondition: star is
-    Latin or e is idempotent (c = e), so that c cancels; then the g
-    passing form a submagma and generators suffice, O(n) each.  On a
-    group star, x op y = alpha(x) * alpha(y) * c with the automorphism
-    alpha(x) = R(x) * c^-1, which is medial (Toyoda 1941, Bruck 1944)
-    and associative iff R(x) = x * c for all x.  At an idempotent e, R
-    is an endomorphism of star: the monoid's compatibility law.
+    Checks that star is a commutative monoid with unit e and that
+    R(x) = x op e is affine on each generator g other than e:
+    R(x * g) * c = R(x) * R(g) with c = R(e).  Preconditions:
+    star(x, y) op e = x op y, so x op y = R(x * y), and star Latin or e
+    idempotent (c = e), so that c cancels; then the g passing form a
+    submagma and generators suffice, O(n) each.  On a group star,
+    x op y = alpha(x) * alpha(y) * c with the automorphism
+    alpha(x) = R(x) * c^-1, which is medial (Toyoda 1941, Bruck 1944) and
+    associative iff R(x) = x * c for all x.  At an idempotent e, R is an
+    endomorphism of star: the monoid's compatibility law.
     """
-    gens = _commutative_monoid_gens(star, e)
-    r = t[:, e]
-    if gens is None or not np.array_equal(r[star], t):
+    if not (np.array_equal(star[e], np.arange(len(star)))
+            and np.array_equal(star, star.T)):
         return None
-    c = r[e]
-    affine = all(np.array_equal(star[r[star[:, g]], c], star[r, r[g]]) for g in gens)
-    return gens if affine else None
+    gens = [g for g in _generators(star) if g != e]
+    r, c = t[:, e], t[e, e]
+    proved = _associative_on(star, gens) and all(
+        np.array_equal(star[r[star[:, g]], c], star[r, r[g]]) for g in gens)
+    return gens if proved else None
+
+
+def _is_translate(m: FiniteMagma, e: int, star: np.ndarray) -> bool:
+    """Whether m is certified and star(x, y) = star0(star0(x, y), -e) with
+    -e star0 e = 0: on a certified table, the star at every e, a group."""
+    s0 = m._star0
+    return s0 is not None and np.array_equal(star, s0[s0, _column_inverse(s0, e)[0]])
 
 
 def check_axioms(m: FiniteMagma) -> AxiomReport:
@@ -316,23 +314,24 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
 
     M1 is one comparison with the transpose, O(n^2), and M2 a permutation
     test of every row and column, O(n^2 log n).  On a commutative Latin
-    square, M3 is decided by the Toyoda-Bruck certificate on the star
-    star(x, y) op 0 = x op y in O(n^2 log n), which also says whether the
-    table is associative.  The sliced scans, O(n^2) memory each, run only
-    to find the lexicographically smallest counterexample, or to decide M3
-    when M1 or M2 fails or the certificate does.
+    square, M3 is decided by the cached Toyoda-Bruck certificate m._star0
+    in O(n^2 log n), which also says whether the table is associative.
+    The sliced scans, O(n^2) memory each, run only to find the
+    lexicographically smallest counterexample, or to decide M3 when M1 or
+    M2 fails or the certificate does.
     """
     t = m.arr
     n = m.order
     idx = np.arange(n)
 
     comm_ce = _first(t != t.T)
+    star = m._star0
 
-    # cancellation, both sides: every column and every row a permutation;
-    # for the counterexample, scanning right violations (a+c = b+c, a != b)
-    # first keeps reports stable
-    latin = bool((np.sort(t, axis=0) == idx[:, None]).all()
-                 and (np.sort(t, axis=1) == idx).all())
+    # cancellation, both sides: every column and every row a permutation,
+    # as on every certified table; for the counterexample, scanning right
+    # violations (a+c = b+c, a != b) first keeps reports stable
+    latin = star is not None or bool((np.sort(t, axis=0) == idx[:, None]).all()
+                                     and (np.sort(t, axis=1) == idx).all())
     canc_ce = None
     if not latin:
         for side in (t, t.T):
@@ -342,8 +341,7 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
             if canc_ce is not None:
                 break
 
-    star = _column_inverse(t, 0)[t] if comm_ce is None and latin else None
-    if star is None or _toyoda_gens(t, 0, star) is None:
+    if star is None:
         # slice (a, b): [c, d] = (a op b) op (c op d)  vs  (a op c) op (b op d)
         hit = _first_sliced(
             n * n, lambda i: t[t.flat[i]][t] != t[np.ix_(t[i // n], t[i % n])])

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteMagma, _column_inverse, idempotents
-from .core import group_identity  # noqa: F401  (part of this module's API)
+from .core import (FiniteMagma, _column_inverse, _is_translate, group_identity,
+                   idempotents)
 
 
 @dataclass(frozen=True)
@@ -203,19 +203,22 @@ def generate_quasigroup(order: int, seed: int) -> tuple[FiniteMagma, ToyodaParam
 def extract_group(m: FiniteMagma, e: int) -> Optional[FiniteMagma]:
     """Divide out the operation by column e: star(i, j) is the unique k with
     k op e = i op j.  On a valid table the result is an abelian group with
-    identity e for any e; that is verified, not assumed.
+    identity e for any e; that is verified, not assumed, on a certified m
+    by the translate of m._star0, which the result shares as its own.
     """
     inv = _column_inverse(m.arr, e)
     if (inv < 0).any():
         raise ValueError(f"column {e} is not injective: table is not cancellative")
     star = FiniteMagma(inv[m.arr])
-    # an abelian group has one identity row, so this is the test at e
-    return star if star._abelian_group_identity == e else None
+    if _is_translate(m, e, star.arr):
+        object.__setattr__(star, "_star0", m._star0)
+    # a certified table with an identity row e has alpha = id: a group
+    return star if star._star0 is not None and group_identity(star) == e else None
 
 
 def element_orders(star: FiniteMagma) -> tuple[int, ...]:
     """Multiplicative order of each element, by power iteration."""
-    e = star._abelian_group_identity
+    e = None if star._star0 is None else group_identity(star)
     if e is None:
         raise ValueError("input is not an abelian group table")
     x = np.arange(star.order)

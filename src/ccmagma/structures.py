@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (FiniteMagma, Homomorphism, _associativity_violation,
-                   _column_inverse, _first, _first_sliced, _toyoda_gens,
-                   idempotents)
+                   _column_inverse, _first, _first_sliced, _is_translate,
+                   _toyoda_gens, idempotents)
 
 
 class NotIdempotentError(ValueError):
@@ -86,14 +86,16 @@ def internal_monoid(m: FiniteMagma, e: int) -> Optional[MonoidStructure]:
     """Monoid with unit e whose star solves star(x,y) op e = x op y.
 
     Returns None when some pair has no solution; raises NotIdempotentError
-    when e is not idempotent (a distinct outcome, not absence).
+    when e is not idempotent (a distinct outcome, not absence).  On a table
+    certified over star0, x op y = alpha(x) + alpha(y) + c and the star is
+    star0's translate, compatible iff c = e - 2 alpha(e), iff e op e = e.
     """
     if m.arr[e, e] != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
     star = _column_inverse(m.arr, e)[m.arr]
     if (star < 0).any():
         return None
-    if _toyoda_gens(m.arr, e, star) is None:
+    if not _is_translate(m, e, star) and _toyoda_gens(m.arr, e, star) is None:
         raise ValueError("constructed star table violates monoid invariants; "
                          "the base table is not a valid ccm-magma")
     return MonoidStructure(base=m, unit=e, magma=FiniteMagma(star))
@@ -111,12 +113,9 @@ def _group_over(mon: MonoidStructure) -> Optional[GroupStructure]:
     hits = m.arr == e
     if not hits.any(axis=0).all():
         return None
-    # negate(m, e, a) for every a: the smallest x with x op a = e
+    # negate(m, e, a) for every a: the smallest x with x op a = e, a
+    # star-inverse, as star(x, a) = inv_e[e] = e
     inverse = np.argmax(hits, axis=0)
-    bad = np.flatnonzero(mon.magma.arr[inverse, np.arange(m.order)] != e)
-    if bad.size:
-        raise ValueError(f"negation at {bad[0]} is not a star-inverse; "
-                         "the base table is not a valid ccm-magma")
     return GroupStructure(monoid=mon, inverse=tuple(inverse.tolist()))
 
 

@@ -118,15 +118,18 @@ def brute_classes(member):
 
 
 def brute_star(table, e):
-    """Reconstruct the star table by scanning for the solution of
-    star(x, y) op e = x op y, pair by pair."""
+    """Reconstruct the star table by looking up the solution of
+    star(x, y) op e = x op y, pair by pair, among the solutions of
+    z op e = v that one scan of column e lists for every v."""
     n = len(table)
+    solutions = [[] for _ in range(n)]
+    for z in range(n):
+        solutions[table[z][e]].append(z)
     star = []
     for x in range(n):
         row = []
         for y in range(n):
-            target = table[x][y]
-            hits = [z for z in range(n) if table[z][e] == target]
+            hits = solutions[table[x][y]]
             if len(hits) != 1:
                 return None
             row.append(hits[0])

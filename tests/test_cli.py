@@ -190,8 +190,9 @@ class TestExtractGroup:
 class TestGroupProofsPerCommand:
     def test_generator_searches_per_command(self, capsys, monkeypatch, tmp_path):
         """One abelian-group proof per table: check_axioms' certificate,
-        then internal_monoid's star and the extracted group, whose verdict
-        invariant_factors reuses."""
+        cached on the magma; internal_monoid's star and the extracted
+        group are checked against its translates, and the group shares
+        it, so invariant_factors proves nothing again."""
         m = next(m for seed in range(50) for m in [generate_quasigroup(64, seed)[0]]
                  if idempotents(m))
         path = tmp_path / "t64.tbl"
@@ -209,12 +210,13 @@ class TestGroupProofsPerCommand:
         unit = str(idempotents(m)[0])
         counts = {}
         for argv in (["check", str(path)], ["classify", str(path), "--unit", unit],
-                     ["extract-group", str(path), "--unit", unit]):
+                     ["extract-group", str(path), "--unit", unit],
+                     ["relation", str(path), "--subalgebra", unit, "--unit", unit]):
             calls.clear()
             assert main(argv) == 0
             counts[argv[0]] = len(calls)
         capsys.readouterr()
-        assert counts == {"check": 1, "classify": 3, "extract-group": 2}
+        assert counts == {"check": 1, "classify": 1, "extract-group": 1, "relation": 1}
 
 
 class TestRelation:

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 import warnings
@@ -14,14 +15,14 @@ from ccmagma.core import (FiniteMagma, Homomorphism, ParseError,
                           idempotent_subalgebra, idempotents, is_homomorphism,
                           pair_hom, pair_split, parse_magma, product_magma,
                           subalgebra_closure, weak_maltsev_p)
-from ccmagma.generation import (extract_group, generate_quasigroup,
-                                idempotent_parity_audit)
+from ccmagma.generation import (AbelianGroupSpec, extract_group, generate_quasigroup,
+                                idempotent_parity_audit, invariant_factors)
 from ccmagma.relations import full_relation, subalgebra_relation
 from ccmagma.structures import internal_monoid, midpoint_distributivity_check
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
-from _brute import (brute_axioms, brute_monoid_invariants, brute_parse, brute_star,
-                    commutative_latin_squares)
+from _brute import (brute_axioms, brute_groups_isomorphic, brute_monoid_invariants,
+                    brute_parse, brute_star, commutative_latin_squares)
 
 A2_TEXT = "3\n0 2 1\n2 1 0\n1 0 2"
 
@@ -548,6 +549,95 @@ def _certificate_branch(t):
     if not _associative_on(star, _generators(star)):
         return "star-not-associative"
     return "R-not-affine"
+
+
+def _near_miss(b_factors, m, rng):
+    """x o y = R(x + y) over B x Z_m (element m*b + k) with R(b, k) =
+    (sigma(b), k) for a random permutation sigma of B: commutative and
+    Latin, and medial only when sigma is affine.  R fixes the Z_m
+    coordinate, so an affinity check on a generator along Z_m alone
+    passes."""
+    add = AbelianGroupSpec(b_factors).addition_table.table
+    sigma = list(range(len(add)))
+    rng.shuffle(sigma)
+    n = len(add) * m
+    return tuple(tuple(sigma[add[x // m][y // m]] * m + (x + y) % m for y in range(n))
+                 for x in range(n))
+
+
+class TestOneCertificatePerTable:
+    """check_axioms' certificate vouches for the star at every unit:
+    internal_monoid and extract_group compare their stars with its
+    translates, so these oracles must hold at every unit, not only at 0."""
+
+    def test_every_unit_matches_brute_force(self):
+        inputs = [(m.table, list(params.group.factors))
+                  for n in [*range(1, 41), 64, 96] for seed in range(3)
+                  for m, params in [generate_quasigroup(n, seed)]]
+        inputs += [(t, None) for n in range(1, 6) for t in commutative_latin_squares(n)
+                   if brute_axioms(t)["medial"]]
+        pairs = 0
+        for table, factors in inputs:
+            m = FiniteMagma(table)
+            for e in m.elements():
+                expected = brute_star(table, e)
+                star = extract_group(m, e)
+                assert star.table == expected, (table, e)
+                got = invariant_factors(star)
+                if factors is None:
+                    group = AbelianGroupSpec(got).addition_table.table
+                    assert brute_groups_isomorphic(expected, group), (table, e)
+                else:
+                    assert got == factors, (len(table), e)
+                if table[e][e] == e:
+                    assert internal_monoid(m, e).star == expected, (table, e)
+                pairs += 1
+        assert pairs == 3755
+
+    def test_near_miss_family_matches_brute_force(self):
+        """The family of _near_miss at orders <= 18, ten seeds each: every
+        axiom report, and at orders <= 16 whether internal_monoid raises at
+        each idempotent, agree with the oracles.  Only a check of R's
+        affinity on every generator tells the non-medial ones apart."""
+        rng = random.Random(16)
+        outcomes = {"medial": set(), "raised": set()}
+        for b_factors in [(5,), (2, 4), (3, 3), (7,), (2, 2, 2), (6,), (9,), (2, 6)]:
+            for m in (2, 3):
+                if math.prod(b_factors) * m > 18:
+                    continue
+                for _ in range(10):
+                    table = _near_miss(b_factors, m, rng)
+                    mag = FiniteMagma(table)
+                    oracle = brute_axioms(table)
+                    assert _as_oracle(check_axioms(mag)) == oracle, table
+                    outcomes["medial"].add(oracle["medial"])
+                    if len(table) > 16:
+                        continue
+                    for e in idempotents(mag):
+                        holds = brute_monoid_invariants(table, brute_star(table, e), e)
+                        try:
+                            internal_monoid(mag, e)
+                            raised = False
+                        except ValueError:
+                            raised = True
+                        assert raised is not holds, (table, e)
+                        outcomes["raised"].add(raised)
+        assert outcomes == {"medial": {True, False}, "raised": {True, False}}
+
+    def test_uncertified_table_keeps_its_own_proof(self):
+        """max over {0, 1} is commutative but not cancellative, so it has no
+        certificate; its star at 0 is max itself, a monoid with unit 0,
+        proved without one."""
+        table = ((0, 1), (1, 1))
+        m = FiniteMagma(table)
+        assert _as_oracle(check_axioms(m)) == brute_axioms(table)
+        assert brute_star(table, 0) == table
+        assert brute_monoid_invariants(table, table, 0)
+        assert internal_monoid(m, 0).star == table
+        assert internal_monoid(m, 1) is None
+        assert extract_group(m, 0) is None
+        with pytest.raises(ValueError, match="column 1 is not injective"):
+            extract_group(m, 1)
 
 
 class TestIdempotents:
