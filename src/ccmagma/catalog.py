@@ -85,6 +85,84 @@ NATURALS0 = Interval(0, None, integral=True)
 
 
 # ---------------------------------------------------------------------------
+# exact rationals, elementwise: the arrays an exact shape's evaluate_raw runs
+# on when the sampled check evaluates many products at once
+
+def _parts(x):
+    """(numerator, denominator) of a rational array, a Fraction or an int."""
+    if isinstance(x, _Rationals):
+        return x.num, x.den
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"no exact rational: {x!r}")
+
+
+def _quotient(num, den) -> _Rationals:
+    if not den.all():
+        raise ZeroDivisionError("division by zero")
+    neg = den < 0
+    if neg.any():
+        num, den = np.where(neg, -num, num), np.where(neg, -den, den)
+    return _Rationals(num, den)
+
+
+class _Rationals:
+    """num / den elementwise, as numpy object arrays of Python ints with
+    den > 0, so no fixed-width integer can overflow.  + - * / take another
+    such array or a Fraction or int; results are reduced only by reduced()."""
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        n, d = _parts(other)
+        return _Rationals(self.num * d + n * self.den, self.den * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        n, d = _parts(other)
+        return _Rationals(self.num * d - n * self.den, self.den * d)
+
+    def __rsub__(self, other):
+        n, d = _parts(other)
+        return _Rationals(n * self.den - self.num * d, self.den * d)
+
+    def __mul__(self, other):
+        n, d = _parts(other)
+        return _Rationals(self.num * n, self.den * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        n, d = _parts(other)
+        return _quotient(self.num * d, self.den * n)
+
+    def __rtruediv__(self, other):
+        n, d = _parts(other)
+        return _quotient(n * self.den, d * self.num)
+
+    def reduced(self) -> _Rationals:
+        g = np.gcd(self.num, self.den)
+        return _Rationals(self.num // g, self.den // g)
+
+    def inside(self, iv: Interval) -> np.ndarray:
+        """iv.contains of each entry, as a bool array, by cross-multiplying
+        with the ends; a lattice takes the reduced entries with den == 1."""
+        ok = np.ones(self.num.shape, dtype=bool)
+        if iv.integral:
+            ok &= self.den == 1
+        if iv.lo is not None:
+            a, b = self.num * iv.lo.denominator, self.den * iv.lo.numerator
+            ok &= (a > b) if iv.lo_open else (a >= b)
+        if iv.hi is not None:
+            a, b = self.num * iv.hi.denominator, self.den * iv.hi.numerator
+            ok &= (a < b) if iv.hi_open else (a <= b)
+        return ok
+
+
+# ---------------------------------------------------------------------------
 # interval images under the maps of Toyoda coordinates
 
 def _hull(iv: Interval) -> Interval:
@@ -311,6 +389,9 @@ class LogSumExpFamily:
 Shape = Union[AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily,
               CubeRootFamily, GeometricFamily, LogSumExpFamily]
 
+# the shapes whose evaluate_raw is + - * / alone, so it runs on _Rationals
+_RATIONAL_SHAPES = (AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily)
+
 
 @dataclass(frozen=True)
 class ParametricFamily:
@@ -369,6 +450,11 @@ class ParametricFamily:
         a, b = self._coerce(a), self._coerce(b)
         if not self.domain.contains(a) or not self.domain.contains(b):
             raise DomainError(f"{self.id}: inputs ({a}, {b}) outside {self.domain}")
+        return self._solve(a, b)
+
+    def _solve(self, a: Number, b: Number) -> Optional[Number]:
+        """solve_left for inputs already coerced and known to lie in the
+        carrier; a solution outside the carrier is still None."""
         x = self.shape.solve_raw(a, b)
         if x is None or not self.domain.contains(x):
             return None
@@ -561,6 +647,23 @@ def _pair_table(fam: ParametricFamily, pts: Sequence[Number]) -> tuple[np.ndarra
     return table, values
 
 
+def _rational_ids(fam: ParametricFamily, ends: tuple, keys: np.ndarray,
+                  u: int, interned: dict) -> np.ndarray:
+    """The ids of op(values[k // u], values[k % u]) over keys, where ends
+    holds the numerators and denominators of values: one evaluate_raw call
+    on rational arrays, -1 where a product escapes the carrier, and equal
+    products sharing the id interned gives their reduced (num, den)."""
+    num, den = ends
+    p, q = np.divmod(keys, u)
+    v = fam.shape.evaluate_raw(_Rationals(num[p], den[p]),
+                               _Rationals(num[q], den[q])).reduced()
+    ok = v.inside(fam.domain)
+    ids = np.full(keys.size, -1, dtype=np.intp)
+    ids[ok] = [interned.setdefault(nd, len(interned))
+               for nd in zip(v.num[ok].tolist(), v.den[ok].tolist())]
+    return ids
+
+
 def sampled_axiom_check(fam: ParametricFamily,
                         samples: Optional[Sequence[Number]] = None,
                         denominator: int = 16) -> SampleReport:
@@ -572,10 +675,13 @@ def sampled_axiom_check(fam: ParametricFamily,
     Each distinct ordered product is evaluated once per call: products of
     samples come from _pair_table, products of two such products from a
     u x u table over their ids, filled one slice of quadruples (a, b, c, d)
-    per a, in the order the lexicographic quadruple loop first needs them,
-    so that an exception other than ClosureError comes from the same
-    product.  Every lookup of a product that escapes the carrier counts one
-    closure violation, exactly as one failing evaluation per call site would.
+    per a.  The four exact built-in shapes, which cannot raise on their
+    carriers, evaluate a slice's missing products in one evaluate_raw call
+    on rational arrays.  Every other shape evaluates them one by one in the
+    order the lexicographic quadruple loop first needs them, so that an
+    exception other than ClosureError comes from the same product.  Every
+    lookup of a product that escapes the carrier counts one closure
+    violation, exactly as one failing evaluation per call site would.
     """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
@@ -584,6 +690,7 @@ def sampled_axiom_check(fam: ParametricFamily,
     m1 = m2 = m3 = True
     pairs, values = _pair_table(fam, pts)
     rows = pairs.tolist()
+    coerced = [fam._coerce(x) for x in pts]     # in the carrier: see pairs
 
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
@@ -594,11 +701,11 @@ def sampled_axiom_check(fam: ParametricFamily,
                 continue
             v, w = values[vi], values[wi]
             if exact:
-                m1 = m1 and v == w
+                m1 = m1 and vi == wi              # interned: equal ids, equal values
             else:
                 worst = max(worst, abs(v - w))
                 m1 = m1 and abs(v - w) <= FLOAT_TOL
-            got = fam.solve_left(y, v)
+            got = fam._solve(coerced[j], v)
             if got is None:
                 m2 = False
             elif exact:
@@ -613,12 +720,17 @@ def sampled_axiom_check(fam: ParametricFamily,
 
     # second[p * u + q] is -2 until op(values[p], values[q]) is evaluated,
     # then -1 if it escaped the carrier, else the id of its value: equal
-    # Fractions share an id in exact mode; in float mode the id is p * u + q
-    # and the value sits in seconds[p * u + q]
+    # values share an id in exact mode (interned as Fractions, or as reduced
+    # (num, den) pairs on the rational path); in float mode the id is
+    # p * u + q and the value sits in seconds[p * u + q]
     s, u = len(pts), len(values)
     second = np.full(u * u, -2, dtype=np.intp)
     interned: dict = {}
     seconds = np.empty(0 if exact else u * u)
+    rational = type(fam.shape) in _RATIONAL_SHAPES
+    if rational:
+        ends = (np.array([v.numerator for v in values], dtype=object),
+                np.array([v.denominator for v in values], dtype=object))
     for row in pairs:                         # one slice per a
         live = row >= 0                       # the b (and c) with ab live
         nb = int(live.sum())
@@ -632,20 +744,26 @@ def sampled_axiom_check(fam: ParametricFamily,
         mask = (cd >= 0) & (bd >= 0)
         lhs = (ids[:, None, None] * u + cd)[mask]
         rhs = (ids[None, :, None] * u + bd)[mask]
-        need = np.stack((lhs, rhs), axis=1).ravel()
-        keys, first = np.unique(need, return_index=True)
-        keys = keys[np.argsort(first)]
-        for k in keys[second[keys] == -2].tolist():
-            try:
-                v = fam._product(values[k // u], values[k % u])
-            except ClosureError:
-                second[k] = -1
-                continue
-            if exact:
-                second[k] = interned.setdefault(v, len(interned))
-            else:
-                second[k] = k
-                seconds[k] = v
+        if rational:
+            need = np.concatenate((lhs, rhs))
+            keys = np.unique(need[second[need] == -2])
+            if keys.size:
+                second[keys] = _rational_ids(fam, ends, keys, u, interned)
+        else:
+            need = np.stack((lhs, rhs), axis=1).ravel()
+            keys, first = np.unique(need, return_index=True)
+            keys = keys[np.argsort(first)]
+            for k in keys[second[keys] == -2].tolist():
+                try:
+                    v = fam._product(values[k // u], values[k % u])
+                except ClosureError:
+                    second[k] = -1
+                    continue
+                if exact:
+                    second[k] = interned.setdefault(v, len(interned))
+                else:
+                    second[k] = k
+                    seconds[k] = v
         lhs, rhs = second[lhs], second[rhs]
         closure += int((lhs < 0).sum() + (rhs < 0).sum())
         both = (lhs >= 0) & (rhs >= 0)
@@ -776,13 +894,14 @@ def _classify(fam: ParametricFamily, pts: list, pairs: np.ndarray,
     # float shapes are judged by their witnesses alone
     total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
 
+    coerced = [fam._coerce(a) for a in pts]     # in the carrier: see pairs
     expansive, ev_exp = _flag_with_evidence(
         fam, "expansive", total[0],
-        ((f"a={a}", fam.solve_left(e, a)) for a in pts))
+        ((f"a={a}", fam._solve(e, c)) for a, c in zip(pts, coerced)))
     symmetric, ev_sym = _flag_with_evidence(
         fam, "symmetric", total[1],
-        ((f"a={a}", fam.solve_left(a, e)) for a in pts))
-    thetas = [fam.solve_left(e, z) for z in values]
+        ((f"a={a}", fam._solve(c, e)) for a, c in zip(pts, coerced)))
+    thetas = [fam._solve(e, z) for z in values]
     monoid, ev_mon = _flag_with_evidence(
         fam, "monoid", total[2],
         ((f"pair=({x},{y})", None if k < 0 else thetas[k])
