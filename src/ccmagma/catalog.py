@@ -49,24 +49,56 @@ class Interval:
         hi = Fraction(self.hi) if self.hi is not None else None
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        # the finite ends as integer (numerator, denominator) pairs
+        object.__setattr__(self, "_ends", tuple(
+            None if end is None else end.as_integer_ratio() for end in (lo, hi)))
 
     def contains(self, x: Number) -> bool:
-        if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-            return False
-        if self.integral:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    return False
-            elif isinstance(x, float):
-                if not x.is_integer():
-                    return False
-        if self.lo is not None:
-            if x < self.lo or (self.lo_open and x == self.lo):
+        """Whether x, an int, Fraction or float, lies in the interval: exactly,
+        by integer cross-multiplication with the ends; nan and infinities never."""
+        if isinstance(x, float):
+            if not math.isfinite(x):
                 return False
-        if self.hi is not None:
-            if x > self.hi or (self.hi_open and x == self.hi):
+            n, d = x.as_integer_ratio()
+        else:
+            n, d = x.numerator, x.denominator
+        if self.integral and d != 1:
+            return False
+        lo, hi = self._ends
+        if lo is not None:
+            a, b = n * lo[1], d * lo[0]
+            if a < b or (self.lo_open and a == b):
+                return False
+        if hi is not None:
+            a, b = n * hi[1], d * hi[0]
+            if a > b or (self.hi_open and a == b):
                 return False
         return True
+
+    def contains_each(self, v) -> np.ndarray:
+        """contains of every entry of v, a _Rationals or a float64 array, as
+        a bool array.  Rationals are cross-multiplied with the ends (den == 1
+        on a lattice); floats are compared with float(end), and a tie
+        v == float(end) is settled by the exact sign of float(end) - end."""
+        rational = isinstance(v, _Rationals)
+        if rational:
+            ok = v.den == 1 if self.integral else np.ones(v.num.shape, dtype=bool)
+        else:
+            ok = np.isfinite(v)
+            if self.integral:
+                ok &= v == np.floor(v)
+        for end, is_open, side in zip(self._ends, (self.lo_open, self.hi_open), (1, -1)):
+            if end is None:
+                continue
+            n, d = end
+            if rational:
+                a, b, err = v.num * d, v.den * n, 0
+            else:
+                a, (b, err) = v, _nearest_float(n, d)
+            strict = side * err < 0 or (err == 0 and is_open)
+            above = np.greater if strict else np.greater_equal
+            ok &= above(a, b) if side > 0 else above(b, a)
+        return ok
 
     def __str__(self):
         left = "]" if self.lo_open else "["
@@ -75,6 +107,17 @@ class Interval:
         hi = "+inf" if self.hi is None else str(self.hi)
         base = f"{left}{lo},{hi}{right}"
         return base + " over Z" if self.integral else base
+
+
+def _nearest_float(n: int, d: int) -> tuple[float, int]:
+    """float(n/d), correctly rounded, and the sign of float(n/d) - n/d, for
+    d > 0; beyond the float range an infinity, which no finite float ties."""
+    try:
+        f = n / d
+    except OverflowError:
+        return (math.inf if n > 0 else -math.inf), 0
+    p, q = f.as_integer_ratio()
+    return f, (p * d > n * q) - (p * d < n * q)
 
 
 REALS = Interval(None, None)
@@ -146,20 +189,6 @@ class _Rationals:
     def reduced(self) -> _Rationals:
         g = np.gcd(self.num, self.den)
         return _Rationals(self.num // g, self.den // g)
-
-    def inside(self, iv: Interval) -> np.ndarray:
-        """iv.contains of each entry, as a bool array, by cross-multiplying
-        with the ends; a lattice takes the reduced entries with den == 1."""
-        ok = np.ones(self.num.shape, dtype=bool)
-        if iv.integral:
-            ok &= self.den == 1
-        if iv.lo is not None:
-            a, b = self.num * iv.lo.denominator, self.den * iv.lo.numerator
-            ok &= (a > b) if iv.lo_open else (a >= b)
-        if iv.hi is not None:
-            a, b = self.num * iv.hi.denominator, self.den * iv.hi.numerator
-            ok &= (a < b) if iv.hi_open else (a <= b)
-        return ok
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +457,7 @@ class ParametricFamily:
         if self.mode == "exact":
             if isinstance(x, float):
                 raise TypeError(f"{self.id} uses exact arithmetic; got float {x}")
-            return Fraction(x)
+            return x if isinstance(x, Fraction) else Fraction(x)
         return float(x)
 
     def evaluate(self, x: Number, y: Number) -> Number:
@@ -571,7 +600,7 @@ CATALOG: dict[str, ParametricFamily] = {f.id: f for f in _entries()}
 
 def default_samples(fam: ParametricFamily, denominator: int = 16) -> list:
     """Grid k/denominator intersected with the domain, plus closed finite
-    endpoints and per-family extras."""
+    endpoints and per-family extras; in float mode, the floats still in it."""
     pts = {Fraction(k, denominator) for k in range(denominator + 1)}
     d = fam.domain
     if d.lo is not None and not d.lo_open:
@@ -581,7 +610,7 @@ def default_samples(fam: ParametricFamily, denominator: int = 16) -> list:
     pts.update(Fraction(x) for x in fam.extra_samples)
     kept = sorted(p for p in pts if d.contains(p))
     if fam.mode == "float":
-        return [float(p) for p in kept]
+        return [x for x in map(float, kept) if d.contains(x)]
     return kept
 
 
@@ -657,11 +686,19 @@ def _rational_ids(fam: ParametricFamily, ends: tuple, keys: np.ndarray,
     p, q = np.divmod(keys, u)
     v = fam.shape.evaluate_raw(_Rationals(num[p], den[p]),
                                _Rationals(num[q], den[q])).reduced()
-    ok = v.inside(fam.domain)
+    ok = fam.domain.contains_each(v)
     ids = np.full(keys.size, -1, dtype=np.intp)
     ids[ok] = [interned.setdefault(nd, len(interned))
                for nd in zip(v.num[ok].tolist(), v.den[ok].tolist())]
     return ids
+
+
+def _raw(shape: Shape, x: Number, y: Number) -> Optional[Number]:
+    """shape.evaluate_raw(x, y), or None where it raises ClosureError."""
+    try:
+        return shape.evaluate_raw(x, y)
+    except ClosureError:
+        return None
 
 
 def sampled_axiom_check(fam: ParametricFamily,
@@ -677,11 +714,12 @@ def sampled_axiom_check(fam: ParametricFamily,
     u x u table over their ids, filled one slice of quadruples (a, b, c, d)
     per a.  The four exact built-in shapes, which cannot raise on their
     carriers, evaluate a slice's missing products in one evaluate_raw call
-    on rational arrays.  Every other shape evaluates them one by one in the
+    on rational arrays.  Every other shape evaluates them in one pass in the
     order the lexicographic quadruple loop first needs them, so that an
-    exception other than ClosureError comes from the same product.  Every
-    lookup of a product that escapes the carrier counts one closure
-    violation, exactly as one failing evaluation per call site would.
+    exception other than ClosureError comes from the same product, then
+    tests float results against the carrier at once.  Every lookup of a
+    product that escapes the carrier counts one closure violation, exactly
+    as one failing evaluation per call site would.
     """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
@@ -753,17 +791,17 @@ def sampled_axiom_check(fam: ParametricFamily,
             need = np.stack((lhs, rhs), axis=1).ravel()
             keys, first = np.unique(need, return_index=True)
             keys = keys[np.argsort(first)]
-            for k in keys[second[keys] == -2].tolist():
-                try:
-                    v = fam._product(values[k // u], values[k % u])
-                except ClosureError:
-                    second[k] = -1
-                    continue
-                if exact:
-                    second[k] = interned.setdefault(v, len(interned))
-                else:
-                    second[k] = k
-                    seconds[k] = v
+            keys = keys[second[keys] == -2]
+            p, q = np.divmod(keys, u)
+            got = [_raw(fam.shape, values[i], values[j])
+                   for i, j in zip(p.tolist(), q.tolist())]
+            if exact:
+                second[keys] = [interned.setdefault(v, len(interned))
+                                if v is not None and fam.domain.contains(v) else -1
+                                for v in got]
+            else:
+                seconds[keys] = got           # None, an escape, reads nan
+                second[keys] = np.where(fam.domain.contains_each(seconds[keys]), keys, -1)
         lhs, rhs = second[lhs], second[rhs]
         closure += int((lhs < 0).sum() + (rhs < 0).sum())
         both = (lhs >= 0) & (rhs >= 0)

@@ -219,6 +219,27 @@ def endomorphism_pool(table, limit=None):
     return found
 
 
+def brute_contains(iv, x):
+    """Interval.contains by comparing x with the Fraction ends: the reference
+    for Interval.contains and Interval.contains_each."""
+    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
+        return False
+    if iv.integral:
+        if isinstance(x, Fraction):
+            if x.denominator != 1:
+                return False
+        elif isinstance(x, float):
+            if not x.is_integer():
+                return False
+    if iv.lo is not None:
+        if x < iv.lo or (iv.lo_open and x == iv.lo):
+            return False
+    if iv.hi is not None:
+        if x > iv.hi or (iv.hi_open and x == iv.hi):
+            return False
+    return True
+
+
 def brute_classify_family(fam, samples=None):
     """classify_family with one fam.evaluate and one solve per monoid
     witness pair: the reference for catalog.classify_family and for the

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from ccmagma import cli, fixtures
 from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REALS,
-                             REALS, AffineFamily, CubeRootFamily, DomainError,
-                             HarmonicFamily, Interval, ParametricFamily,
+                             REALS, AffineFamily, ClosureError, CubeRootFamily,
+                             DomainError, GeometricFamily, HarmonicFamily, Interval,
+                             LogSumExpFamily, ParametricFamily,
                              ProbSumFamily, TanhSumFamily, _Rationals,
                              _rational_ids, _totality, classify_family,
                              default_samples,
@@ -24,8 +26,8 @@ from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REA
                              sampled_associativity, sampled_axiom_check)
 from ccmagma.core import check_axioms
 
-from _brute import (brute_classify_family, brute_sampled_axiom_check, brute_totality,
-                    mobius_maps_into)
+from _brute import (brute_classify_family, brute_contains, brute_sampled_axiom_check,
+                    brute_totality, mobius_maps_into)
 
 F = Fraction
 H = CATALOG["harmonic-(0,1]"]
@@ -39,6 +41,24 @@ EXPECTED_LABELS = {
     "affine-Z:2,0": "VI", "sum-R": "I", "sum-[0,inf)": "II",
     "probsum-[0,1)": "II", "cuberoot-mean-R": "I", "cuberoot-doubling-R": "I",
 }
+
+
+# interval ends that no float holds, that round to 0.0, or that lie beyond
+# the float range
+ODD_ENDS = (F(1, 3), F(-1, 10), F(2, 3), F(9, 10), F(1, 10 ** 400), F(-1, 10 ** 400),
+            F(10 ** 400, 3), F(-10 ** 400, 7))
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  sys.float_info.min, -sys.float_info.min,
+                  sys.float_info.max, -sys.float_info.max)
+
+
+def _float_and_neighbours(end):
+    """float(end) and the floats either side of it; none beyond the float range."""
+    try:
+        f = float(end)
+    except OverflowError:
+        return ()
+    return math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)
 
 
 class TestInterval:
@@ -56,6 +76,42 @@ class TestInterval:
         iv = Interval(0, 1, True, True)
         assert iv.contains(0.5) and not iv.contains(0.0)
         assert not iv.contains(float("nan"))
+
+    def test_contains_matches_the_fraction_oracle(self):
+        # every kind of end (open, closed, missing) at ends no float holds,
+        # ends that round to 0.0 or lie beyond the float range, on the line
+        # and on the lattice; the floats include float(end) and both its
+        # neighbours, where only the exact comparison tells them apart
+        rng = random.Random(31)
+        ends = (None, 0, -2, 1, *ODD_ENDS)
+        ints = [0, 1, -1, 10 ** 400 // 3, -10 ** 400, *(rng.randint(-20, 20) for _ in range(10))]
+        fracs = [*ODD_ENDS, *(e + F(s, 10 ** 500) for e in ODD_ENDS for s in (-1, 1)),
+                 *(_fraction(rng) for _ in range(20))]
+        floats = [*SPECIAL_FLOATS, *(rng.uniform(-3, 3) for _ in range(20)),
+                  *(float(rng.randint(-4, 4)) for _ in range(6)),
+                  *(g for e in ODD_ENDS for g in _float_and_neighbours(e))]
+        intervals = [Interval(lo, hi, lo_open, hi_open, integral)
+                     for lo, hi in product(ends, repeat=2)
+                     for lo_open, hi_open, integral in product((False, True), repeat=3)]
+        for iv in intervals:
+            for x in (*ints, *fracs, *floats):
+                assert iv.contains(x) == brute_contains(iv, x), (iv, x)
+            assert (iv.contains_each(np.array(floats)).tolist()
+                    == [iv.contains(x) for x in floats]), iv
+            assert (iv.contains_each(_rationals([*ints, *fracs])).tolist()
+                    == [iv.contains(x) for x in (*ints, *fracs)]), iv
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(st.floats(), st.fractions(), st.integers()),
+           lo=st.one_of(st.none(), st.fractions(), st.sampled_from(ODD_ENDS)),
+           hi=st.one_of(st.none(), st.fractions(), st.sampled_from(ODD_ENDS)),
+           flags=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_contains_property(self, x, lo, hi, flags):
+        iv = Interval(lo, hi, *flags)
+        assert iv.contains(x) == brute_contains(iv, x)
+        if isinstance(x, float):
+            for g in (x, *(_float_and_neighbours(lo) if lo is not None else ())):
+                assert iv.contains_each(np.array([g]))[0] == brute_contains(iv, g)
 
 
 class TestMobius:
@@ -459,21 +515,58 @@ NON_CLOSED = [
 @dataclass(frozen=True)
 class TrapShape:
     """(x + y)/3 on [-1, 1], raising a ValueError that names its arguments
-    on each ordered pair in trap, and leaving the carrier on each in escape."""
+    on each ordered pair in trap, leaving the carrier on each in escape, and
+    raising ClosureError on each in closure."""
     trap: frozenset
     escape: frozenset = frozenset()
     domain: Interval = Interval(-1, 1)
+    closure: frozenset = frozenset()
     mode = "exact"
 
     def evaluate_raw(self, x, y):
         if (x, y) in self.trap:
             raise ValueError(f"trap at ({x}, {y})")
+        if (x, y) in self.closure:
+            raise ClosureError(f"closure at ({x}, {y})")
         if (x, y) in self.escape:
             return F(2)
         return (x + y) / 3
 
     def solve_raw(self, a, b):
         return 3 * b - a
+
+
+@dataclass(frozen=True)
+class FloatTrapShape(TrapShape):
+    """TrapShape on floats: its products of products take the float path."""
+    mode = "float"
+
+
+def _floats(pairs):
+    return frozenset((float(x), float(y)) for x, y in pairs)
+
+
+TRAPS = [
+    {(F(-1, 6), F(-2, 3))},
+    # the loop needs the first pair of each set before the second; a
+    # scan that took the keys in sorted order would raise on the second
+    # pair here, and one that took rhs before lhs in the next case
+    {(F(-1, 6), F(-2, 3)), (F(-2, 3), F(1, 3))},
+    {(F(-2, 3), F(1, 3)), (F(-1, 6), F(-1, 6))},
+]
+
+# float shapes on carriers whose ends no float holds: a product equal to
+# float(end) lies in the carrier or not by the sign of float(end) - end
+NON_DYADIC_FLOAT = [
+    ParametricFamily("cuberoot-doubling-[-1/3,2/3]",
+                     CubeRootFamily(2, 1, Interval(F(-1, 3), F(2, 3))),
+                     "2(a^3+b^3)^(1/3)", None, None, False),
+    ParametricFamily("geometric-]1/10,9/10]",
+                     GeometricFamily(Interval(F(1, 10), F(9, 10), lo_open=True)),
+                     "sqrt(ab)", F(1, 2), None, False),
+    ParametricFamily("logsumexp-[-1,1/3]", LogSumExpFamily(Interval(-1, F(1, 3))),
+                     "log(e^a+e^b)", None, None, True),
+]
 
 
 class TestSampledAxiomOracle:
@@ -495,14 +588,23 @@ class TestSampledAxiomOracle:
         assert (sampled_axiom_check(fam, pts)
                 == brute_sampled_axiom_check(fam, pts))
 
-    @pytest.mark.parametrize("trap", [
-        {(F(-1, 6), F(-2, 3))},
-        # the loop needs the first pair of each set before the second; a
-        # scan that took the keys in sorted order would raise on the second
-        # pair here, and one that took rhs before lhs in the next case
-        {(F(-1, 6), F(-2, 3)), (F(-2, 3), F(1, 3))},
-        {(F(-2, 3), F(1, 3)), (F(-1, 6), F(-1, 6))},
-    ])
+    @pytest.mark.parametrize("fam", NON_DYADIC_FLOAT, ids=lambda f: f.id)
+    def test_float_shapes_on_non_dyadic_ends(self, fam):
+        for denominator in range(2, 7):
+            assert (sampled_axiom_check(fam, denominator=denominator)
+                    == brute_sampled_axiom_check(fam, denominator=denominator))
+        # random samples with the ends' floats and their neighbours, where
+        # they lie in the carrier
+        rng = random.Random(17)
+        d = fam.domain
+        near = [g for end in (d.lo, d.hi) for g in _float_and_neighbours(end)]
+        for _ in range(3):
+            pts = [x for x in (*near, *(rng.uniform(float(d.lo), float(d.hi))
+                                        for _ in range(6))) if d.contains(x)]
+            assert (sampled_axiom_check(fam, pts)
+                    == brute_sampled_axiom_check(fam, pts))
+
+    @pytest.mark.parametrize("trap", TRAPS)
     def test_second_level_exception_comes_from_the_same_product(self, trap):
         # no trapped pair is a pair of samples, so only a product of two
         # products raises, and the message says which one came first
@@ -514,6 +616,29 @@ class TestSampledAxiomOracle:
         assert "trap at" in str(brute.value)
         with pytest.raises(ValueError, match=re.escape(str(brute.value))):
             sampled_axiom_check(fam, samples)
+
+    @pytest.mark.parametrize("trap", TRAPS)
+    def test_float_second_level_exception_comes_from_the_same_product(self, trap):
+        fam = ParametricFamily("trap", FloatTrapShape(_floats(trap)), "(a+b)/3",
+                               None, None, False)
+        samples = [-1.0, 0.5, 0.0, 1.0]
+        with pytest.raises(ValueError) as brute:
+            brute_sampled_axiom_check(fam, samples)
+        assert "trap at" in str(brute.value)
+        with pytest.raises(ValueError, match=re.escape(str(brute.value))):
+            sampled_axiom_check(fam, samples)
+
+    @pytest.mark.parametrize("shape", [TrapShape, FloatTrapShape])
+    def test_closure_error_from_a_product_of_products_is_an_escape(self, shape):
+        # (-1/6, -2/3) is a product of two products, never of two samples
+        pair = {(F(-1, 6), F(-2, 3))}
+        closure = _floats(pair) if shape.mode == "float" else frozenset(pair)
+        fam = ParametricFamily("closure", shape(frozenset(), closure=closure),
+                               "(a+b)/3", None, None, False)
+        samples = [F(-1), F(1, 2), F(0), F(1)]
+        rep = sampled_axiom_check(fam, samples)
+        assert not rep.m3_ok and rep.closure_violations > 0
+        assert rep == brute_sampled_axiom_check(fam, samples)
 
     def test_escape_among_samples_alone_falsifies_m3(self):
         # every product of two products stays in [-2/3, 2/3], so only the
@@ -626,7 +751,8 @@ class TestRationalArrays:
                         *(_real_interval(rng) for _ in range(4)),
                         *(_lattice(rng) for _ in range(2)), shape.domain)
             for iv in carriers:
-                assert got.inside(iv).tolist() == [iv.contains(w) for w in want], iv
+                assert (iv.contains_each(got).tolist()
+                        == [brute_contains(iv, w) for w in want]), iv
 
     def test_a_zero_divisor_raises(self):
         xs, ys = _rationals([F(1), F(2, 3)]), _rationals([F(1, 2), F(0)])
@@ -879,7 +1005,8 @@ class TestDerivedMonoid:
 
 class TestSampling:
     def test_defaults_respect_domain(self):
-        for fam in CATALOG.values():
+        # float(9/10) lies above 9/10: a closed end's float may be no sample
+        for fam in (*CATALOG.values(), *NON_DYADIC_FLOAT):
             for x in default_samples(fam):
                 assert fam.domain.contains(x)
 
