@@ -553,6 +553,11 @@ TRAPS = [
     # pair here, and one that took rhs before lhs in the next case
     {(F(-1, 6), F(-2, 3)), (F(-2, 3), F(1, 3))},
     {(F(-2, 3), F(1, 3)), (F(-1, 6), F(-1, 6))},
+    # products of two samples: the pair table meets (1/2, 0) first, before
+    # (0, 1/2) and before any product of products
+    {(F(1, 2), F(0))},
+    {(F(0), F(1, 2)), (F(1, 2), F(0))},
+    {(F(-1, 6), F(-2, 3)), (F(1, 2), F(0))},
 ]
 
 # float shapes on carriers whose ends no float holds: a product equal to
@@ -567,6 +572,32 @@ NON_DYADIC_FLOAT = [
     ParametricFamily("logsumexp-[-1,1/3]", LogSumExpFamily(Interval(-1, F(1, 3))),
                      "log(e^a+e^b)", None, None, True),
 ]
+
+
+BAD_SAMPLES = [
+    (MID, [F(0), F(2)]),
+    (MID, [F(2), F(0), 0.5]),
+    (MID, [0, F(1, 2), 2]),
+    (MID, [F(0), 0.5, F(3)]),
+    (MID, [F(0), F(3), 0.5]),
+    (H, [F(1), F(1, 2), F(0)]),
+    (H, [F(1, 2), 1.0]),
+    (CATALOG["affine-Z:2,0"], [F(1), F(1, 2)]),
+    (CATALOG["geometric-(0,1)"], [0.5, 0.25, 1.0]),
+    (CATALOG["geometric-(0,1)"], [F(1, 4), F(-1, 2)]),
+    (CATALOG["logsumexp-R"], [0.0, math.inf]),
+]
+
+
+def _first_row_error(fam, pts):
+    for y in pts:
+        try:
+            fam.evaluate(pts[0], y)
+        except ClosureError:
+            continue
+        except Exception as exc:
+            return exc
+    raise AssertionError(f"no bad sample in {pts}")
 
 
 class TestSampledAxiomOracle:
@@ -606,8 +637,8 @@ class TestSampledAxiomOracle:
 
     @pytest.mark.parametrize("trap", TRAPS)
     def test_second_level_exception_comes_from_the_same_product(self, trap):
-        # no trapped pair is a pair of samples, so only a product of two
-        # products raises, and the message says which one came first
+        # a trapped pair of samples raises in the pair table, any other only
+        # as a product of two products; the message says which came first
         fam = ParametricFamily("trap", TrapShape(frozenset(trap)), "(a+b)/3",
                                None, None, False)
         samples = [F(-1), F(1, 2), F(0), F(1)]
@@ -654,6 +685,22 @@ class TestSampledAxiomOracle:
     def test_sample_outside_the_carrier_is_a_domain_error(self):
         with pytest.raises(DomainError):
             sampled_axiom_check(MID, [F(0), F(2)])
+
+    @pytest.mark.parametrize("fam,pts", BAD_SAMPLES,
+                             ids=lambda v: getattr(v, "id", None) or repr(v))
+    def test_a_bad_sample_raises_what_the_first_row_raises(self, fam, pts):
+        # the error of the first failing fam.evaluate(pts[0], pts[k]): its
+        # first argument, or the first sample outside the carrier or of the
+        # wrong kind, named with pts[0]
+        want = _first_row_error(fam, pts)
+        checks = [sampled_axiom_check]
+        if fam.unit is not None:
+            checks.append(classify_family)
+        if fam is H:
+            checks.append(lambda fam, pts: monoid_formula_check(pts))
+        for check in checks:
+            with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+                check(fam, pts)
 
     @pytest.mark.parametrize("fam", NON_CLOSED, ids=lambda f: f.id)
     def test_closure_violations_counted_per_call_site(self, fam):
