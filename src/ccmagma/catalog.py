@@ -186,9 +186,28 @@ class _Rationals:
         n, d = _parts(other)
         return _quotient(n * self.den, d * self.num)
 
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, k) -> _Rationals:
+        return _Rationals(self.num[k], self.den[k])
+
     def reduced(self) -> _Rationals:
         g = np.gcd(self.num, self.den)
         return _Rationals(self.num // g, self.den // g)
+
+    def same(self, other: _Rationals) -> np.ndarray:
+        """Elementwise equality of two reduced arrays."""
+        return (self.num == other.num) & (self.den == other.den)
+
+    def __iter__(self):
+        return map(Fraction, self.num.tolist(), self.den.tolist())
+
+
+def _exact(xs) -> _Rationals:
+    """The rational array of a sequence of ints and Fractions."""
+    return _Rationals(np.array([x.numerator for x in xs], dtype=object),
+                      np.array([x.denominator for x in xs], dtype=object))
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +483,6 @@ class ParametricFamily:
         x, y = self._coerce(x), self._coerce(y)
         if not self.domain.contains(x) or not self.domain.contains(y):
             raise DomainError(f"{self.id}: inputs ({x}, {y}) outside {self.domain}")
-        return self._product(x, y)
-
-    def _product(self, x: Number, y: Number) -> Number:
-        """x op y for inputs already coerced and known to lie in the carrier;
-        the result is still checked, since an escape is a closure violation."""
         v = self.shape.evaluate_raw(x, y)
         if not self.domain.contains(v):
             raise ClosureError(f"{self.id}: result {v} escaped {self.domain}")
@@ -650,30 +664,30 @@ class SampleReport:
         }
 
 
-def _pair_table(fam: ParametricFamily, pts: Sequence[Number]) -> tuple[np.ndarray, list]:
-    """Every ordered product of the samples, evaluated once.
-
-    Returns (table, values): table is an s x s intp array whose entry [i, j]
-    is the id of fam.evaluate(pts[i], pts[j]) in values, or -1 where that
-    product escapes the carrier.  Equal products share one id; in float mode
-    -0.0 and 0.0 stay apart.
-    """
-    floats = fam.mode == "float"
-    ids: dict = {}
-    values: list = []
-    table = np.full((len(pts), len(pts)), -1, dtype=np.intp)
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            try:
-                v = fam.evaluate(x, y)
-            except ClosureError:
-                continue
-            k = ids.setdefault((v, math.copysign(1.0, v)) if floats else v,
-                               len(values))
-            if k == len(values):
-                values.append(v)
-            table[i, j] = k
-    return table, values
+def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
+    """(pts, table, values): the samples coerced, each tested against the
+    carrier once (a bad one raises what fam.evaluate(samples[0], samples[k])
+    raises for the first bad k), and every ordered product of them, evaluated
+    once by _products over the keys in row-major order.  table[i, j] is the
+    id of pts[i] op pts[j] in values, or -1 where it escapes the carrier.
+    Equal products share one id, numbered in row-major order of first
+    appearance; in float mode -0.0 and 0.0 stay apart.  values is a reduced
+    _Rationals in exact mode, a list of floats in float mode."""
+    pts = []
+    for x in samples:
+        pts.append(fam._coerce(x))
+        if not fam.domain.contains(pts[-1]):
+            raise DomainError(f"{fam.id}: inputs ({pts[0]}, {pts[-1]}) outside {fam.domain}")
+    s = len(pts)
+    interned: dict = {}
+    ids, floats = _products(fam, pts, np.arange(s * s), s, interned)
+    if floats is None:
+        ends = np.array(list(interned), dtype=object).reshape(-1, 2)
+        return pts, ids.reshape(s, s), _Rationals(ends[:, 0], ends[:, 1])
+    live = ids >= 0
+    ids[live] = [interned.setdefault((v, math.copysign(1.0, v)), len(interned))
+                 for v in floats[live].tolist()]
+    return pts, ids.reshape(s, s), [v for v, _ in interned]
 
 
 def _rational_ids(fam: ParametricFamily, ends: tuple, keys: np.ndarray,
@@ -693,12 +707,47 @@ def _rational_ids(fam: ParametricFamily, ends: tuple, keys: np.ndarray,
     return ids
 
 
-def _raw(shape: Shape, x: Number, y: Number) -> Optional[Number]:
-    """shape.evaluate_raw(x, y), or None where it raises ClosureError."""
-    try:
-        return shape.evaluate_raw(x, y)
-    except ClosureError:
-        return None
+def _products(fam: ParametricFamily, vals, keys: np.ndarray, u: int,
+              interned: dict) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """op(vals[k // u], vals[k % u]) over keys, as (ids, floats), ids -1 where
+    a product escapes the carrier.  In exact mode equal products share the
+    id interned gives their (num, den) and floats is None; in float mode the
+    id is the key and floats holds the products.  An exact built-in shape
+    evaluates all keys in one _rational_ids call.  Any other shape evaluates
+    them one at a time in the order given, a ClosureError reading as an
+    escape, so that any other exception comes from the first key raising it."""
+    if type(fam.shape) in _RATIONAL_SHAPES:
+        vals = vals if isinstance(vals, _Rationals) else _exact(vals)
+        return _rational_ids(fam, (vals.num, vals.den), keys, u, interned), None
+    vals, got = list(vals), []
+    for i, j in zip(*(k.tolist() for k in np.divmod(keys, u))):
+        try:
+            got.append(fam.shape.evaluate_raw(vals[i], vals[j]))
+        except ClosureError:
+            got.append(None)
+    if fam.mode == "exact":
+        return np.array([interned.setdefault((v.numerator, v.denominator), len(interned))
+                         if v is not None and fam.domain.contains(v) else -1
+                         for v in got], dtype=np.intp), None
+    floats = np.array(got, dtype=float)         # None, an escape, reads nan
+    return np.where(fam.domain.contains_each(floats), keys, -1), floats
+
+
+def _solve_each(fam: ParametricFamily, a: _Rationals,
+                b: _Rationals) -> tuple[_Rationals, np.ndarray]:
+    """fam._solve(a[k], b[k]) for every k of an exact family, as reduced
+    solutions and a mask of those in the carrier: one solve_raw call on
+    rational arrays for a built-in shape, else, or where a zero divisor
+    raises (a scalar `den == 0` guard never fires on arrays), one per k."""
+    if type(fam.shape) in _RATIONAL_SHAPES:
+        try:
+            x = fam.shape.solve_raw(a, b).reduced()
+            return x, fam.domain.contains_each(x)
+        except ZeroDivisionError:
+            pass
+    got = [fam._solve(p, q) for p, q in zip(a, b)]
+    return (_exact([0 if x is None else x for x in got]),
+            np.array([x is not None for x in got], dtype=bool))
 
 
 def sampled_axiom_check(fam: ParametricFamily,
@@ -709,66 +758,50 @@ def sampled_axiom_check(fam: ParametricFamily,
     tracks the worst residual against tolerance 1e-9.  A family with a unit
     is classified from the same pair table.
 
-    Each distinct ordered product is evaluated once per call: products of
-    samples come from _pair_table, products of two such products from a
-    u x u table over their ids, filled one slice of quadruples (a, b, c, d)
-    per a.  The four exact built-in shapes, which cannot raise on their
-    carriers, evaluate a slice's missing products in one evaluate_raw call
-    on rational arrays.  Every other shape evaluates them in one pass in the
-    order the lexicographic quadruple loop first needs them, so that an
-    exception other than ClosureError comes from the same product, then
-    tests float results against the carrier at once.  Every lookup of a
-    product that escapes the carrier counts one closure violation, exactly
-    as one failing evaluation per call site would.
+    Each distinct ordered product is evaluated once per call by _products:
+    products of samples in _pair_table, products of two such products from a
+    u x u table over their ids, one slice of quadruples (a, b, c, d) per a,
+    each slice's missing keys in the order the quadruple loop first needs
+    them.  M1 compares the pair table with its transpose; exact M2 solves all
+    live pairs in one _solve_each call, float M2 one pair at a time with the
+    residual of x' op y.  Every lookup of an escaped product counts one
+    closure violation, as one failing evaluation per call site would.
     """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
-    worst = 0.0
-    closure = 0
-    m1 = m2 = m3 = True
-    pairs, values = _pair_table(fam, pts)
-    rows = pairs.tolist()
-    coerced = [fam._coerce(x) for x in pts]     # in the carrier: see pairs
-
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            vi, wi = rows[i][j], rows[j][i]
-            if vi < 0 or wi < 0:
-                closure += (vi < 0) + (wi < 0)
-                m1 = False
-                continue
-            v, w = values[vi], values[wi]
-            if exact:
-                m1 = m1 and vi == wi              # interned: equal ids, equal values
-            else:
-                worst = max(worst, abs(v - w))
-                m1 = m1 and abs(v - w) <= FLOAT_TOL
-            got = fam._solve(coerced[j], v)
-            if got is None:
-                m2 = False
-            elif exact:
-                m2 = m2 and got == x
-            else:
-                # float conditioning (cube roots near zero) can push the
-                # recovered pre-image far from x, so check the defining
-                # equation instead: the solution must solve x' op y = v
-                residual = abs(fam.evaluate(got, y) - v)
-                worst = max(worst, residual)
-                m2 = m2 and residual <= FLOAT_TOL
+    coerced, pairs, values = _pair_table(fam, pts)
+    closure = 2 * int((pairs < 0).sum())      # one at (x, y), one at (y, x)
+    live = (pairs >= 0) & (pairs.T >= 0)
+    i, j = np.nonzero(live)                   # the pairs (x, y), row-major
+    m3 = True
+    if exact:
+        m1 = bool(live.all() and (pairs == pairs.T).all())   # interned ids
+        xs = _exact(coerced)
+        got, ok = _solve_each(fam, xs[j], values[pairs[i, j]])
+        m2 = bool(ok.all() and got.same(xs[i]).all())
+    else:
+        fv = np.array(values)
+        worst = float(np.abs(fv[pairs[i, j]] - fv[pairs[j, i]]).max(initial=0.0))
+        m1 = bool(live.all()) and worst <= FLOAT_TOL
+        m2 = True
+        for x, y in zip(i.tolist(), j.tolist()):
+            # float conditioning (cube roots near zero) can push the
+            # recovered pre-image far from x, so check the defining
+            # equation instead: the solution must solve x' op y = v
+            v = values[pairs[x, y]]
+            got = fam._solve(coerced[y], v)
+            residual = None if got is None else abs(fam.evaluate(got, coerced[y]) - v)
+            worst = max(worst, residual or 0.0)
+            m2 = m2 and residual is not None and residual <= FLOAT_TOL
 
     # second[p * u + q] is -2 until op(values[p], values[q]) is evaluated,
     # then -1 if it escaped the carrier, else the id of its value: equal
-    # values share an id in exact mode (interned as Fractions, or as reduced
-    # (num, den) pairs on the rational path); in float mode the id is
-    # p * u + q and the value sits in seconds[p * u + q]
+    # values share an id in exact mode; in float mode the id is p * u + q
+    # and the value sits in seconds[p * u + q]
     s, u = len(pts), len(values)
     second = np.full(u * u, -2, dtype=np.intp)
     interned: dict = {}
     seconds = np.empty(0 if exact else u * u)
-    rational = type(fam.shape) in _RATIONAL_SHAPES
-    if rational:
-        ends = (np.array([v.numerator for v in values], dtype=object),
-                np.array([v.denominator for v in values], dtype=object))
     for row in pairs:                         # one slice per a
         live = row >= 0                       # the b (and c) with ab live
         nb = int(live.sum())
@@ -782,26 +815,13 @@ def sampled_axiom_check(fam: ParametricFamily,
         mask = (cd >= 0) & (bd >= 0)
         lhs = (ids[:, None, None] * u + cd)[mask]
         rhs = (ids[None, :, None] * u + bd)[mask]
-        if rational:
-            need = np.concatenate((lhs, rhs))
-            keys = np.unique(need[second[need] == -2])
-            if keys.size:
-                second[keys] = _rational_ids(fam, ends, keys, u, interned)
-        else:
-            need = np.stack((lhs, rhs), axis=1).ravel()
-            keys, first = np.unique(need, return_index=True)
-            keys = keys[np.argsort(first)]
-            keys = keys[second[keys] == -2]
-            p, q = np.divmod(keys, u)
-            got = [_raw(fam.shape, values[i], values[j])
-                   for i, j in zip(p.tolist(), q.tolist())]
-            if exact:
-                second[keys] = [interned.setdefault(v, len(interned))
-                                if v is not None and fam.domain.contains(v) else -1
-                                for v in got]
-            else:
-                seconds[keys] = got           # None, an escape, reads nan
-                second[keys] = np.where(fam.domain.contains_each(seconds[keys]), keys, -1)
+        need = np.stack((lhs, rhs), axis=1).ravel()
+        need = need[second[need] == -2]
+        keys = need[np.sort(np.unique(need, return_index=True)[1])]
+        if keys.size:
+            second[keys], got = _products(fam, values, keys, u, interned)
+            if got is not None:
+                seconds[keys] = got
         lhs, rhs = second[lhs], second[rhs]
         closure += int((lhs < 0).sum() + (rhs < 0).sum())
         both = (lhs >= 0) & (rhs >= 0)
@@ -814,34 +834,29 @@ def sampled_axiom_check(fam: ParametricFamily,
             worst = max(worst, top)
             m3 = m3 and top <= FLOAT_TOL
 
-    verdict = None if fam.unit is None else _classify(fam, pts, pairs, values)
+    verdict = None if fam.unit is None else _classify(fam, pts, coerced, pairs, values)
     return SampleReport(fam.id, len(pts), m1, m2, m3,
                         None if exact else worst, closure, verdict)
 
 
 def sampled_associativity(fam: ParametricFamily,
                           samples: Optional[Sequence[Number]] = None) -> bool:
-    pts = samples if samples is not None else default_samples(fam, 8)
-    exact = fam.mode == "exact"
-    pairs, values = _pair_table(fam, pts)
-    rows = pairs.tolist()
-    for a, row_a in zip(pts, rows):
-        for ab, row_b in zip(row_a, rows):
-            if ab < 0:
-                continue
-            for c, bc in zip(pts, row_b):
-                if bc < 0:
-                    continue
-                try:
-                    lhs = fam.evaluate(values[ab], c)
-                    rhs = fam.evaluate(a, values[bc])
-                except ClosureError:
-                    continue
-                if exact and lhs != rhs:
-                    return False
-                if not exact and abs(lhs - rhs) > FLOAT_TOL:
-                    return False
-    return True
+    """Whether (ab)c = a(bc), exactly or within FLOAT_TOL, on every triple of
+    samples where ab, bc and both sides stay in the carrier.  Both sides are
+    read through one _products call over the ids of the pair table's values
+    followed by the samples, each distinct pair of ids evaluated once."""
+    pts, pairs, values = _pair_table(
+        fam, samples if samples is not None else default_samples(fam, 8))
+    u, w = len(values), len(values) + len(pts)
+    a, b, c = np.nonzero((pairs[:, :, None] >= 0) & (pairs[None, :, :] >= 0))
+    keys, inv = np.unique(np.concatenate((pairs[a, b] * w + u + c,
+                                          (u + a) * w + pairs[b, c])), return_inverse=True)
+    ids, floats = _products(fam, [*values, *pts], keys, w, {})
+    lhs, rhs = inv.reshape(2, -1)
+    both = (ids[lhs] >= 0) & (ids[rhs] >= 0)
+    if floats is None:
+        return bool((ids[lhs] == ids[rhs])[both].all())
+    return bool((np.abs(floats[lhs] - floats[rhs])[both] <= FLOAT_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -923,26 +938,30 @@ def classify_family(fam: ParametricFamily,
     return _classify(fam, pts, *_pair_table(fam, pts))
 
 
-def _classify(fam: ParametricFamily, pts: list, pairs: np.ndarray,
-              values: list) -> FamilyClassification:
+def _classify(fam: ParametricFamily, pts: list, coerced: list, pairs: np.ndarray,
+              values) -> FamilyClassification:
     """classify_family on the pair table of pts: the monoid witness of pair
     (x, y) solves theta op e = x op y, once per distinct product, and is
-    None where x op y escapes the carrier."""
+    None where x op y escapes the carrier.  In exact mode each kind of solve
+    takes one _solve_each call, and a witness that exists reads True."""
     e = fam.unit
-    # float shapes are judged by their witnesses alone
-    total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
-
-    coerced = [fam._coerce(a) for a in pts]     # in the carrier: see pairs
+    s, u = len(coerced), len(values)
+    if fam.mode == "exact":
+        total = _totality(fam.shape, e)
+        xs, es = _exact(coerced), _exact([e] * max(s, u))
+        solved = [[ok or None for ok in _solve_each(fam, a, b)[1].tolist()]
+                  for a, b in ((es[:s], xs), (xs, es[:s]), (es[:u], values))]
+    else:   # float shapes are judged by their witnesses alone
+        total = (None, None, None)
+        solved = [[fam._solve(a, b) for a, b in ab] for ab in (
+            [(e, c) for c in coerced], [(c, e) for c in coerced], [(e, z) for z in values])]
     expansive, ev_exp = _flag_with_evidence(
-        fam, "expansive", total[0],
-        ((f"a={a}", fam._solve(e, c)) for a, c in zip(pts, coerced)))
+        fam, "expansive", total[0], ((f"a={a}", x) for a, x in zip(pts, solved[0])))
     symmetric, ev_sym = _flag_with_evidence(
-        fam, "symmetric", total[1],
-        ((f"a={a}", fam._solve(c, e)) for a, c in zip(pts, coerced)))
-    thetas = [fam._solve(e, z) for z in values]
+        fam, "symmetric", total[1], ((f"a={a}", x) for a, x in zip(pts, solved[1])))
     monoid, ev_mon = _flag_with_evidence(
         fam, "monoid", total[2],
-        ((f"pair=({x},{y})", None if k < 0 else thetas[k])
+        ((f"pair=({x},{y})", None if k < 0 else solved[2][k])
          for x, row in zip(pts, pairs.tolist()) for y, k in zip(pts, row)))
     group = monoid and symmetric
     label = classify(expansive, symmetric, monoid, group)
@@ -956,18 +975,19 @@ def _classify(fam: ParametricFamily, pts: list, pairs: np.ndarray,
 # closed-form facts about the harmonic family on ]0,1]
 
 def monoid_formula_check(samples: Optional[Sequence[Fraction]] = None) -> bool:
-    """The star product of harmonic-(0,1] equals xy/(x+y-xy), exactly."""
+    """The star product of harmonic-(0,1] equals xy/(x+y-xy), exactly, on
+    every ordered pair of samples (default: the grid of 16).  The theta with
+    theta op 1 = x op y is solved once per distinct product of the pair
+    table, in one _solve_each call, and must equal the formula and give
+    theta op 1 = x op y back."""
     fam = CATALOG["harmonic-(0,1]"]
-    pts = list(samples) if samples is not None else default_samples(fam)
-    for x in pts:
-        for y in pts:
-            z = fam.evaluate(x, y)
-            theta = fam.solve_left(fam.unit, z)
-            if theta != x * y / (x + y - x * y):
-                return False
-            if fam.evaluate(theta, fam.unit) != z:
-                return False
-    return True
+    pts, pairs, z = _pair_table(fam, samples if samples is not None else default_samples(fam))
+    ones = _exact([fam.unit] * len(z))
+    theta, ok = _solve_each(fam, ones, z)
+    x, y = (_exact(pts)[k] for k in np.divmod(np.arange(len(pts) ** 2), len(pts)))
+    return bool((pairs >= 0).all() and ok.all()
+                and theta[pairs.ravel()].same((x * y / (x + y - x * y)).reduced()).all()
+                and fam.shape.evaluate_raw(theta, ones).reduced().same(z).all())
 
 
 def half_has_no_inverse_check() -> bool:

@@ -352,6 +352,28 @@ def brute_sampled_axiom_check(fam, samples=None, denominator=16):
                         None if exact else worst, closure, verdict)
 
 
+def brute_sampled_associativity(fam, samples=None):
+    """sampled_associativity with four fam.evaluate calls per triple of
+    samples and no pair table: the reference for
+    catalog.sampled_associativity."""
+    from ccmagma.catalog import FLOAT_TOL, ClosureError, default_samples
+
+    pts = samples if samples is not None else default_samples(fam, 8)
+    for a in pts:
+        for b in pts:
+            for c in pts:
+                try:
+                    ab, bc = fam.evaluate(a, b), fam.evaluate(b, c)
+                    lhs, rhs = fam.evaluate(ab, c), fam.evaluate(a, bc)
+                except ClosureError:
+                    continue
+                if fam.mode == "exact" and lhs != rhs:
+                    return False
+                if fam.mode == "float" and abs(lhs - rhs) > FLOAT_TOL:
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # exact totality of v -> (p v + q)/(r v + s) from one interval into another:
 # the general Moebius-with-poles engine the catalog once decided with

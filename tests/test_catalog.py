@@ -19,15 +19,15 @@ from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REA
                              REALS, AffineFamily, ClosureError, CubeRootFamily,
                              DomainError, GeometricFamily, HarmonicFamily, Interval,
                              LogSumExpFamily, ParametricFamily,
-                             ProbSumFamily, TanhSumFamily, _Rationals,
-                             _rational_ids, _totality, classify_family,
+                             ProbSumFamily, TanhSumFamily, _Rationals, _exact,
+                             _rational_ids, _solve_each, _totality, classify_family,
                              default_samples,
                              half_has_no_inverse_check, monoid_formula_check,
                              sampled_associativity, sampled_axiom_check)
 from ccmagma.core import check_axioms
 
-from _brute import (brute_classify_family, brute_contains, brute_sampled_axiom_check,
-                    brute_totality, mobius_maps_into)
+from _brute import (brute_classify_family, brute_contains, brute_sampled_associativity,
+                    brute_sampled_axiom_check, brute_totality, mobius_maps_into)
 
 F = Fraction
 H = CATALOG["harmonic-(0,1]"]
@@ -542,6 +542,38 @@ class FloatTrapShape(TrapShape):
     mode = "float"
 
 
+@dataclass(frozen=True)
+class SkewShape:
+    """(2x + y)/3 on [-1, 1]: medial and left-cancellative, not commutative."""
+    domain: Interval = Interval(-1, 1)
+    mode = "exact"
+
+    def evaluate_raw(self, x, y):
+        return (2 * x + y) / 3
+
+    def solve_raw(self, a, b):
+        return (3 * b - a) / 2
+
+
+@dataclass(frozen=True)
+class FloatSkewShape(SkewShape):
+    mode = "float"
+
+
+@dataclass(frozen=True)
+class LeakySumShape:
+    """x + y on [-1, 1], leaving the carrier at each ordered pair in leak."""
+    leak: frozenset
+    domain: Interval = Interval(-1, 1)
+    mode = "exact"
+
+    def evaluate_raw(self, x, y):
+        return F(5) if (x, y) in self.leak else x + y
+
+    def solve_raw(self, a, b):
+        return b - a
+
+
 def _floats(pairs):
     return frozenset((float(x), float(y)) for x, y in pairs)
 
@@ -709,6 +741,26 @@ class TestSampledAxiomOracle:
             assert rep.closure_violations > 0
             assert rep == brute_sampled_axiom_check(fam, denominator=denominator)
 
+    @pytest.mark.parametrize("shape", [SkewShape(), FloatSkewShape()], ids=lambda s: s.mode)
+    def test_a_non_commutative_shape_fails_m1_alone(self, shape):
+        fam = ParametricFamily("skew", shape, "(2a+b)/3", None, None, False)
+        for denominator in range(2, 7):
+            rep = sampled_axiom_check(fam, denominator=denominator)
+            assert (rep.m1_ok, rep.m2_ok, rep.m3_ok) == (False, True, True)
+            assert rep == brute_sampled_axiom_check(fam, denominator=denominator)
+
+    @pytest.mark.parametrize("fid", ["midpoint-R", "third-[-1,1]", "harmonic-R+",
+                                     "probsum-[0,1)", "tanh-sum-(0,1)"])
+    def test_a_wrong_solver_fails_m2(self, fid, monkeypatch):
+        # x' = x op y solves x' op y = x op y only where x op y = x: the
+        # batched solves see the patched solver and must compare with x
+        fam = CATALOG[fid]
+        monkeypatch.setattr(type(fam.shape), "solve_raw", lambda self, a, b: b)
+        for denominator in range(2, 7):
+            rep = sampled_axiom_check(fam, denominator=denominator)
+            assert not rep.m2_ok
+            assert rep == brute_sampled_axiom_check(fam, denominator=denominator)
+
     def test_random_exact_shapes_on_random_carriers(self):
         # products of products on rational arrays, escapes included: narrow
         # carriers and lattices leave many of them outside
@@ -829,24 +881,75 @@ class TestRationalArrays:
             if inside[i] and inside[j]:
                 assert (ids[i] == ids[j]) == (want[i] == want[j])
 
+    def test_batched_solves_match_scalar_solves(self):
+        # solutions inside and outside the carrier, and zero divisors: at
+        # b = c a a harmonic solver divides by zero, which the scalar one
+        # answers with None and the batch by falling back to it
+        rng = random.Random(29)
+        grid = sorted({F(k, q) for q in (1, 3, 4) for k in range(-24, 25)})
+        cases = [(CATALOG["harmonic-R+"], [F(1)] * 4, [F(1, 2), F(2), F(3), F(2)]),
+                 (CATALOG["harmonic-(1,inf)"], [F(2)] * 3, [F(3), F(4), F(8)])]
+        for trial in range(120):
+            fam = ParametricFamily(f"random-{trial}", _random_exact_shape(rng),
+                                   "f", None, None, None)
+            inside = [x for x in grid if fam.domain.contains(x)]
+            if not inside:
+                continue
+            a, b = ([rng.choice(inside) for _ in range(12)] for _ in range(2))
+            k = rng.randrange(12)
+            if isinstance(fam.shape, HarmonicFamily) and fam.domain.contains(fam.shape.c * a[k]):
+                b[k] = fam.shape.c * a[k]
+            cases.append((fam, a, b))
+        fallbacks = 0
+        for fam, a, b in cases:
+            want = [fam._solve(x, y) for x, y in zip(a, b)]
+            fallbacks += None in want and any(
+                fam.shape.solve_raw(x, y) is None for x, y in zip(a, b))
+            got, ok = _solve_each(fam, _rationals(a), _rationals(b))
+            assert ok.tolist() == [w is not None for w in want], fam
+            assert [g if k else None for g, k in zip(got, ok)] == want, fam
+        assert fallbacks == 18
 
-def test_exact_families_evaluate_only_the_pair_table_one_by_one(monkeypatch):
-    # the products of products of an exact built-in shape are evaluated on
-    # rational arrays, so only the s^2 sample products reach _product
-    calls = []
-    unchecked = ParametricFamily._product
 
-    def counted(self, x, y):
-        calls.append((x, y))
-        return unchecked(self, x, y)
+def _elementwise(x):
+    """The entries of an evaluate_raw argument: a rational array entry by
+    entry, a scalar as itself."""
+    return list(x) if isinstance(x, _Rationals) else [x]
 
-    monkeypatch.setattr(ParametricFamily, "_product", counted)
+
+def _count_evaluate_raw(monkeypatch, calls):
+    """Record the (x, y) entries of every evaluate_raw call of the four
+    exact built-in shapes, one list per call."""
+    for cls in (AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily):
+        def counted(self, x, y, raw=cls.evaluate_raw):
+            calls.append(list(zip(_elementwise(x), _elementwise(y))))
+            return raw(self, x, y)
+        monkeypatch.setattr(cls, "evaluate_raw", counted)
+
+
+def test_exact_families_reach_evaluate_raw_once_per_product(monkeypatch):
+    # the pair table is one evaluate_raw call whose entries are the s^2
+    # ordered sample pairs in row-major order; every later call evaluates
+    # products of products, each pair of values once; no checked evaluate
     exact = [fam for fam in CATALOG.values() if fam.mode == "exact"]
     assert len(exact) == 24
+    products = {fam.id: {v for x in default_samples(fam, 8) for y in default_samples(fam, 8)
+                         for v in [fam.shape.evaluate_raw(x, y)] if fam.domain.contains(v)}
+                for fam in exact}
+    calls = []
+    _count_evaluate_raw(monkeypatch, calls)
+    monkeypatch.setattr(ParametricFamily, "evaluate", None)
+    total = 0
     for fam in exact:
         calls.clear()
-        sampled_axiom_check(fam, denominator=8)
-        assert len(calls) == len(default_samples(fam, 8)) ** 2, fam.id
+        pts = default_samples(fam, 8)
+        sampled_axiom_check(fam, pts)
+        assert calls[0] == [(x, y) for x in pts for y in pts], fam.id
+        later = [pair for call in calls[1:] for pair in call]
+        assert len(set(later)) == len(later), fam.id
+        assert {x for pair in later for x in pair} <= products[fam.id], fam.id
+        total += len(calls[0]) + len(later)
+    assert total == 31_922
 
 
 def test_rational_path_memory_is_sliced():
@@ -902,10 +1005,11 @@ class TestClassificationOracle:
             assert sampled_axiom_check(fam, denominator=g).closure_violations == closure
 
 
-def test_catalog_command_evaluates_each_sample_product_once(monkeypatch):
-    # an exact family's command evaluates only its s^2 sample products; the
-    # harmonic-(0,1] command adds two closed-form checks: 16^2 pairs of
-    # monoid_formula_check, two evaluations each, and one per star_solve
+def test_exact_catalog_commands_make_no_checked_evaluate_calls(monkeypatch):
+    # exact families evaluate and solve on rational arrays; the
+    # harmonic-(0,1] command adds the two evaluations of the two star_solve
+    # calls of half_has_no_inverse_check; float families still check the
+    # residual of each M2 solve with one evaluate
     calls = []
     evaluate = ParametricFamily.evaluate
 
@@ -917,12 +1021,9 @@ def test_catalog_command_evaluates_each_sample_product_once(monkeypatch):
     for fid, fam in CATALOG.items():
         before = len(calls)
         cli.main(["catalog", "--family", fid, "--samples", "8"])
-        s = len(default_samples(fam, 8))
-        if fid == "harmonic-(0,1]":
-            assert len(calls) - before == s * s + 2 * 16 * 16 + 2
-        elif fam.mode == "exact" and fam.unit is not None:
-            assert len(calls) - before == s * s, fid
-    assert len(calls) == 4075
+        if fam.mode == "exact":
+            assert len(calls) - before == (2 if fid == "harmonic-(0,1]" else 0), fid
+    assert len(calls) == 640
 
 
 class TestClassification:
@@ -978,6 +1079,32 @@ class TestAssociativityMetadata:
         fam = CATALOG[fid]
         assert fam.associative is not None
         assert sampled_associativity(fam) == fam.associative
+
+    @pytest.mark.parametrize("fam", [*CATALOG.values(), *NON_CLOSED], ids=lambda f: f.id)
+    def test_sampled_associativity_matches_the_oracle(self, fam):
+        for g in range(2, 17):
+            pts = default_samples(fam, g)
+            assert sampled_associativity(fam, pts) == brute_sampled_associativity(fam, pts), g
+
+    def test_an_escape_on_one_side_skips_the_triple(self):
+        # (a + b) + 0 leaves the carrier where a + b = 1/2, while a + (b + 0)
+        # stays: such triples are skipped, not counted as counterexamples
+        fam = ParametricFamily("leaky-sum", LeakySumShape(frozenset({(F(1, 2), F(0))})),
+                               "a+b", None, None, True)
+        pts = [F(-1), F(-1, 2), F(0), F(1, 2), F(1)]
+        assert sampled_associativity(fam, pts) is brute_sampled_associativity(fam, pts) is True
+
+    def test_sampled_associativity_evaluates_each_product_once(self, monkeypatch):
+        # sum-R at grid 8: the 11^2 sample products in one call, then (ab)c
+        # and a(bc) once per distinct pair of ids (of a value or a sample) in
+        # another: 814 products, of which 693 are distinct as numbers, where
+        # a loop over triples made 2,783 checked evaluate calls
+        calls = []
+        _count_evaluate_raw(monkeypatch, calls)
+        monkeypatch.setattr(ParametricFamily, "evaluate", None)
+        assert sampled_associativity(CATALOG["sum-R"]) is True
+        assert list(map(len, calls)) == [11 * 11, 814]
+        assert len(set(calls[1])) == 693
 
 
 class TestDerivedMonoid:
