@@ -19,7 +19,7 @@ from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REA
                              REALS, AffineFamily, ClosureError, CubeRootFamily,
                              DomainError, GeometricFamily, HarmonicFamily, Interval,
                              LogSumExpFamily, ParametricFamily,
-                             ProbSumFamily, TanhSumFamily, _Rationals, _exact,
+                             ProbSumFamily, TanhSumFamily, _Rationals,
                              _rational_ids, _solve_each, _totality, classify_family,
                              default_samples,
                              half_has_no_inverse_check, monoid_formula_check,
@@ -882,8 +882,8 @@ class TestRationalArrays:
                 assert (ids[i] == ids[j]) == (want[i] == want[j])
 
     def test_batched_solves_match_scalar_solves(self):
-        # solutions inside and outside the carrier, and zero divisors: at
-        # b = c a a harmonic solver divides by zero, which the scalar one
+        # solutions inside and outside the carrier, and zero divisors: where
+        # b = c a, a harmonic solver divides by zero, which the scalar solver
         # answers with None and the batch by falling back to it
         rng = random.Random(29)
         grid = sorted({F(k, q) for q in (1, 3, 4) for k in range(-24, 25)})
