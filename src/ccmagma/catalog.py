@@ -140,8 +140,8 @@ def _parts(x):
     raise TypeError(f"no exact rational: {x!r}")
 
 
-def _quotient(num, den) -> _Rationals:
-    if not den.all():
+def _quotient(num, den, strict: bool = True) -> _Rationals:
+    if strict and not den.all():
         raise ZeroDivisionError("division by zero")
     neg = den < 0
     if neg.any():
@@ -202,6 +202,15 @@ class _Rationals:
 
     def __iter__(self):
         return map(Fraction, self.num.tolist(), self.den.tolist())
+
+
+def _ratio(num, den):
+    """A solver's num / den: None where den == 0, and on rational arrays a
+    zero denominator there, which _solve_each reads as no solution."""
+    if isinstance(den, _Rationals):
+        n, d = _parts(num)
+        return _quotient(n * den.den, d * den.num, strict=False)
+    return None if den == 0 else num / den
 
 
 def _exact(xs) -> _Rationals:
@@ -301,10 +310,7 @@ class HarmonicFamily:
         return self.c * x * y / (x + y)
 
     def solve_raw(self, a, b):
-        den = self.c * a - b
-        if den == 0:
-            return None
-        return a * b / den
+        return _ratio(a * b, self.c * a - b)
 
     def idempotent_elements(self):
         return "all" if self.c == 2 else ()
@@ -331,10 +337,7 @@ class ProbSumFamily:
         return x + y + self.gamma * x * y
 
     def solve_raw(self, a, b):
-        den = 1 + self.gamma * a
-        if den == 0:
-            return None
-        return (b - a) / den
+        return _ratio(b - a, 1 + self.gamma * a)
 
     def idempotent_elements(self):
         out = [Fraction(0), Fraction(-1) / self.gamma]
@@ -359,10 +362,7 @@ class TanhSumFamily:
         return (x + y) / (1 + x * y)
 
     def solve_raw(self, a, b):
-        den = 1 - a * b
-        if den == 0:
-            return None
-        return (b - a) / den
+        return _ratio(b - a, 1 - a * b)
 
     def idempotent_elements(self):
         return (Fraction(0),) if self.domain.contains(Fraction(0)) else ()
@@ -377,16 +377,34 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
+def _each(f, v):
+    """f(v) for a float, or f of each entry of a float64 array: the scalar
+    libm call either way, as numpy's vector kernels may differ in the last bit."""
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(f, v.tolist()), dtype=float, count=v.size)
+    return f(v)
+
+
+class _Lifted:
+    """A float shape with x op y = join(lift(x), lift(y)): the lift runs once
+    per value, the join on floats or on float64 arrays of lifted values."""
+
+    def evaluate_raw(self, x, y):
+        return self.join(self.lift(x), self.lift(y))
+
+
 @dataclass(frozen=True)
-class CubeRootFamily:
+class CubeRootFamily(_Lifted):
     """x op y = scale * ((x^3 + y^3)/div)^(1/3), float mode."""
     scale: int
     div: int
     domain: Interval
     mode = "float"
 
-    def evaluate_raw(self, x, y):
-        return self.scale * _cbrt((x ** 3 + y ** 3) / self.div)
+    lift = staticmethod(lambda x: x ** 3)
+
+    def join(self, a, b):
+        return self.scale * _each(_cbrt, (a + b) / self.div)
 
     def solve_raw(self, a, b):
         return _cbrt((b / self.scale) ** 3 * self.div - a ** 3)
@@ -398,13 +416,15 @@ class CubeRootFamily:
 
 
 @dataclass(frozen=True)
-class GeometricFamily:
+class GeometricFamily(_Lifted):
     """x op y = sqrt(x y), float mode."""
     domain: Interval
     mode = "float"
 
-    def evaluate_raw(self, x, y):
-        return math.sqrt(x * y)
+    lift = staticmethod(lambda x: x)
+
+    def join(self, a, b):
+        return _each(math.sqrt, a * b)
 
     def solve_raw(self, a, b):
         return b * b / a
@@ -414,13 +434,15 @@ class GeometricFamily:
 
 
 @dataclass(frozen=True)
-class LogSumExpFamily:
+class LogSumExpFamily(_Lifted):
     """x op y = log(exp x + exp y), float mode."""
     domain: Interval
     mode = "float"
 
-    def evaluate_raw(self, x, y):
-        return math.log(math.exp(x) + math.exp(y))
+    lift = staticmethod(math.exp)
+
+    def join(self, a, b):
+        return _each(math.log, a + b)
 
     def solve_raw(self, a, b):
         if b <= a:
@@ -437,8 +459,10 @@ class LogSumExpFamily:
 Shape = Union[AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily,
               CubeRootFamily, GeometricFamily, LogSumExpFamily]
 
-# the shapes whose evaluate_raw is + - * / alone, so it runs on _Rationals
-_RATIONAL_SHAPES = (AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily)
+# the shapes that evaluate many products in one call: the exact ones, whose
+# evaluate_raw is + - * / alone and so runs on _Rationals, and the _Lifted
+_ARRAY_SHAPES = (AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily,
+                 CubeRootFamily, GeometricFamily, LogSumExpFamily)
 
 
 @dataclass(frozen=True)
@@ -712,13 +736,24 @@ def _products(fam: ParametricFamily, vals, keys: np.ndarray, u: int,
     """op(vals[k // u], vals[k % u]) over keys, as (ids, floats), ids -1 where
     a product escapes the carrier.  In exact mode equal products share the
     id interned gives their (num, den) and floats is None; in float mode the
-    id is the key and floats holds the products.  An exact built-in shape
-    evaluates all keys in one _rational_ids call.  Any other shape evaluates
-    them one at a time in the order given, a ClosureError reading as an
-    escape, so that any other exception comes from the first key raising it."""
-    if type(fam.shape) in _RATIONAL_SHAPES:
+    id is the key and floats holds the products.  A built-in shape evaluates
+    all keys in one call: on rational arrays, or by lifting each value once
+    and joining on float64 arrays, bit for bit as one product at a time.
+    Any other shape, or a float batch that raises, evaluates the keys one at
+    a time in the order given, a ClosureError reading as an escape, so that
+    any other exception comes from the first key raising it."""
+    if type(fam.shape) in _ARRAY_SHAPES and fam.mode == "exact":
         vals = vals if isinstance(vals, _Rationals) else _exact(vals)
         return _rational_ids(fam, (vals.num, vals.den), keys, u, interned), None
+    if type(fam.shape) in _ARRAY_SHAPES:
+        try:
+            with np.errstate(all="ignore"):
+                lifted = np.array([fam.shape.lift(v) for v in vals], dtype=float)
+                p, q = np.divmod(keys, u)
+                floats = fam.shape.join(lifted[p], lifted[q])
+            return np.where(fam.domain.contains_each(floats), keys, -1), floats
+        except (ArithmeticError, ValueError):
+            pass
     vals, got = list(vals), []
     for i, j in zip(*(k.tolist() for k in np.divmod(keys, u))):
         try:
@@ -737,14 +772,13 @@ def _solve_each(fam: ParametricFamily, a: _Rationals,
                 b: _Rationals) -> tuple[_Rationals, np.ndarray]:
     """fam._solve(a[k], b[k]) for every k of an exact family, as reduced
     solutions and a mask of those in the carrier: one solve_raw call on
-    rational arrays for a built-in shape, else, or where a zero divisor
-    raises (a scalar `den == 0` guard never fires on arrays), one per k."""
-    if type(fam.shape) in _RATIONAL_SHAPES:
-        try:
-            x = fam.shape.solve_raw(a, b).reduced()
-            return x, fam.domain.contains_each(x)
-        except ZeroDivisionError:
-            pass
+    rational arrays for a built-in shape, where an entry whose divisor is
+    zero (den 0 from _ratio) has no solution, else one call per k."""
+    if type(fam.shape) in _ARRAY_SHAPES:
+        x = fam.shape.solve_raw(a, b)
+        some = x.den != 0
+        x = _Rationals(x.num, np.where(some, x.den, 1)).reduced()
+        return x, some & fam.domain.contains_each(x)
     got = [fam._solve(p, q) for p, q in zip(a, b)]
     return (_exact([0 if x is None else x for x in got]),
             np.array([x is not None for x in got], dtype=bool))
@@ -760,11 +794,13 @@ def sampled_axiom_check(fam: ParametricFamily,
 
     Each distinct ordered product is evaluated once per call by _products:
     products of samples in _pair_table, products of two such products from a
-    u x u table over their ids, one slice of quadruples (a, b, c, d) per a,
-    each slice's missing keys in the order the quadruple loop first needs
-    them.  M1 compares the pair table with its transpose; exact M2 solves all
-    live pairs in one _solve_each call, float M2 one pair at a time with the
-    residual of x' op y.  Every lookup of an escaped product counts one
+    u x u table over their ids, one slice of quadruples (a, b, c, d) per a.
+    A built-in shape takes each slice's missing keys in one batch, in key
+    order; any other shape in the order the quadruple loop first needs
+    them, so that an exception comes from the same product.  M1 compares
+    the pair table with its transpose; exact M2 solves all live pairs in one
+    _solve_each call, float M2 one pair at a time with the residual of
+    x' op y.  Every lookup of an escaped product counts one
     closure violation, as one failing evaluation per call site would.
     """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
@@ -794,10 +830,10 @@ def sampled_axiom_check(fam: ParametricFamily,
             worst = max(worst, residual or 0.0)
             m2 = m2 and residual is not None and residual <= FLOAT_TOL
 
-    # second[p * u + q] is -2 until op(values[p], values[q]) is evaluated,
-    # then -1 if it escaped the carrier, else the id of its value: equal
-    # values share an id in exact mode; in float mode the id is p * u + q
-    # and the value sits in seconds[p * u + q]
+    # second[p * u + q] is -2 until op(values[p], values[q]) is evaluated
+    # (-3 while a batch waits for it), then -1 if it escaped the carrier,
+    # else the id of its value: equal values share an id in exact mode; in
+    # float mode the id is p * u + q and the value sits in seconds[p*u+q]
     s, u = len(pts), len(values)
     second = np.full(u * u, -2, dtype=np.intp)
     interned: dict = {}
@@ -815,9 +851,13 @@ def sampled_axiom_check(fam: ParametricFamily,
         mask = (cd >= 0) & (bd >= 0)
         lhs = (ids[:, None, None] * u + cd)[mask]
         rhs = (ids[None, :, None] * u + bd)[mask]
-        need = np.stack((lhs, rhs), axis=1).ravel()
-        need = need[second[need] == -2]
-        keys = need[np.sort(np.unique(need, return_index=True)[1])]
+        if type(fam.shape) in _ARRAY_SHAPES:  # rhs(b, c, d) = lhs(c, b, d)
+            second[lhs[second[lhs] == -2]] = -3
+            keys = np.flatnonzero(second == -3)
+        else:           # one at a time, in the order the loop needs them
+            need = np.stack((lhs, rhs), axis=1).ravel()
+            need = need[second[need] == -2]
+            keys = need[np.sort(np.unique(need, return_index=True)[1])]
         if keys.size:
             second[keys], got = _products(fam, values, keys, u, interned)
             if got is not None:

@@ -19,8 +19,9 @@ from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REA
                              REALS, AffineFamily, ClosureError, CubeRootFamily,
                              DomainError, GeometricFamily, HarmonicFamily, Interval,
                              LogSumExpFamily, ParametricFamily,
-                             ProbSumFamily, TanhSumFamily, _Rationals,
-                             _rational_ids, _solve_each, _totality, classify_family,
+                             ProbSumFamily, TanhSumFamily, _Lifted, _Rationals,
+                             _products, _rational_ids, _solve_each, _totality,
+                             classify_family,
                              default_samples,
                              half_has_no_inverse_check, monoid_formula_check,
                              sampled_associativity, sampled_axiom_check)
@@ -884,7 +885,7 @@ class TestRationalArrays:
     def test_batched_solves_match_scalar_solves(self):
         # solutions inside and outside the carrier, and zero divisors: where
         # b = c a, a harmonic solver divides by zero, which the scalar solver
-        # answers with None and the batch by falling back to it
+        # answers with None and the batch by a zero denominator it masks out
         rng = random.Random(29)
         grid = sorted({F(k, q) for q in (1, 3, 4) for k in range(-24, 25)})
         cases = [(CATALOG["harmonic-R+"], [F(1)] * 4, [F(1, 2), F(2), F(3), F(2)]),
@@ -963,6 +964,95 @@ def test_rational_path_memory_is_sliced():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+
+
+def test_exact_families_solve_no_witness_one_at_a_time(monkeypatch):
+    # a zero divisor (b = c a for a harmonic shape) reads as no solution
+    # inside the batched solve: at grid 8 six classification calls of the
+    # harmonic families have one, and none takes the scalar solver
+    def scalar(self, a, b):
+        raise AssertionError(f"{self.id}: scalar solve of ({a}, {b})")
+
+    want = {fid: sampled_axiom_check(fam, denominator=8)
+            for fid, fam in CATALOG.items() if fam.mode == "exact"}
+    monkeypatch.setattr(ParametricFamily, "_solve", scalar)
+    for fid, rep in want.items():
+        assert sampled_axiom_check(CATALOG[fid], denominator=8) == rep
+
+
+FLOAT_FAMILIES = [fam for fam in CATALOG.values() if fam.mode == "float"] + NON_DYADIC_FLOAT
+
+# floats whose lifts or joins overflow, underflow or reach subnormals
+FLOAT_EXTREMES = {LogSumExpFamily: (700.0, 709.0, -740.0, -744.0),
+                  CubeRootFamily: (1e100, 5e102, -5e102, 1e-110),
+                  GeometricFamily: (1e-300, 1e300, 5e-324)}
+
+
+class TestFloatArrays:
+    """The float shapes' batched products against evaluate_raw on one pair
+    of floats at a time, bit for bit."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fam", FLOAT_FAMILIES, ids=lambda f: f.id)
+    def test_products_match_the_scalar_path(self, fam, monkeypatch):
+        rng = random.Random(31)
+        d = fam.domain
+        lo = -4.0 if d.lo is None else float(d.lo)
+        hi = 4.0 if d.hi is None else float(d.hi)
+        near = [g for end in (d.lo, d.hi) if end is not None
+                for g in _float_and_neighbours(end)]
+        vals = [0.0, -0.0, *near, *default_samples(fam, 8),
+                *FLOAT_EXTREMES[type(fam.shape)], *(rng.uniform(lo, hi) for _ in range(12))]
+        if isinstance(fam.shape, GeometricFamily):
+            vals = [v for v in vals if v >= 0]     # a negative product raises
+        u = len(vals)
+        want = [fam.shape.evaluate_raw(x, y) for x in vals for y in vals]
+        # the batch never falls back to one evaluate_raw call per key
+        monkeypatch.setattr(_Lifted, "evaluate_raw", None)
+        ids, floats = _products(fam, vals, np.arange(u * u), u, {})
+        assert [v.hex() for v in floats.tolist()] == [w.hex() for w in want]
+        assert ids.tolist() == [k if fam.domain.contains(w) else -1
+                                for k, w in enumerate(want)]
+
+    def test_grids_never_evaluate_one_product_at_a_time(self, monkeypatch):
+        # every evaluate_raw call of a float family comes from a checked
+        # evaluate (the residual of an M2 solve), none from the per-key
+        # loop of _products
+        raw, checked = [], []
+        evaluate_raw, evaluate = _Lifted.evaluate_raw, ParametricFamily.evaluate
+
+        def counted_raw(self, x, y):
+            raw.append((x, y))
+            return evaluate_raw(self, x, y)
+
+        def counted(self, x, y):
+            checked.append((x, y))
+            return evaluate(self, x, y)
+
+        monkeypatch.setattr(_Lifted, "evaluate_raw", counted_raw)
+        monkeypatch.setattr(ParametricFamily, "evaluate", counted)
+        for fam in FLOAT_FAMILIES:
+            for g in range(2, 17):
+                sampled_axiom_check(fam, denominator=g)
+        assert len(raw) == len(checked) > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fam,pts,error,message", [
+        (CATALOG["logsumexp-R"], [0.0, 710.0], OverflowError, "math range error"),
+        (CATALOG["cuberoot-mean-R"], [1.0, 1e103], OverflowError,
+         "(34, 'Numerical result out of range')"),
+        # 3e102 op 3e102 = 7.56e102, whose cube overflows: in a product of
+        # products, where the batch raises and the per-key loop raises again
+        (CATALOG["cuberoot-doubling-R"], [3e102], OverflowError,
+         "(34, 'Numerical result out of range')"),
+        (ParametricFamily("geometric-[-1,1]", GeometricFamily(Interval(-1, 1)),
+                          "sqrt(ab)", None, None, False),
+         [0.5, -0.5], ValueError, "math domain error"),
+    ], ids=lambda v: getattr(v, "id", None) or repr(v))
+    def test_errors_are_those_of_one_product_at_a_time(self, fam, pts, error, message):
+        for check in (brute_sampled_axiom_check, sampled_axiom_check):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                check(fam, pts)
 
 
 def _verdict_or_error(classify_fn):
