@@ -715,6 +715,18 @@ class TestSampledAxiomOracle:
         assert not rep.m3_ok and rep.closure_violations > 0
         assert rep == brute_sampled_axiom_check(fam, samples)
 
+    def test_a_zero_sample_divides_by_zero_in_the_geometric_solver(self):
+        # b^2 / a at a = 0.0: M2 solves with a zero sample as a, and so do
+        # the symmetric witnesses; neither may read as "no solution"
+        fam = ParametricFamily("geometric-[0,1]", GeometricFamily(Interval(0, 1)),
+                               "sqrt(ab)", F(1, 2), None, False)
+        pts = default_samples(fam, 4)
+        assert 0.0 in pts
+        for check in (brute_sampled_axiom_check, sampled_axiom_check,
+                      brute_classify_family, classify_family):
+            with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+                check(fam, pts)
+
     def test_sample_outside_the_carrier_is_a_domain_error(self):
         with pytest.raises(DomainError):
             sampled_axiom_check(MID, [F(0), F(2)])
