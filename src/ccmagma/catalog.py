@@ -377,17 +377,20 @@ def _cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
 
-def _each(f, v):
-    """f(v) for a float, or f of each entry of a float64 array: the scalar
-    libm call either way, as numpy's vector kernels may differ in the last bit."""
-    if isinstance(v, np.ndarray):
-        return np.fromiter(map(f, v.tolist()), dtype=float, count=v.size)
-    return f(v)
+def _each(f, *vs):
+    """f(*vs) for floats, or f of the entries of float64 arrays taken in step:
+    the scalar libm call either way, as numpy's vector kernels may differ in
+    the last bit, and an exception comes from the first entry raising it."""
+    if isinstance(vs[0], np.ndarray):
+        return np.fromiter(map(f, *(v.tolist() for v in vs)), dtype=float, count=vs[0].size)
+    return f(*vs)
 
 
 class _Lifted:
-    """A float shape with x op y = join(lift(x), lift(y)): the lift runs once
-    per value, the join on floats or on float64 arrays of lifted values."""
+    """A float shape with x op y = join(lift(x), lift(y)).  lift is a scalar
+    call, made once per value; join and solve_raw run on floats or on float64
+    arrays, with the same bits either way, and solve_raw gives nan where no
+    solution exists."""
 
     def evaluate_raw(self, x, y):
         return self.join(self.lift(x), self.lift(y))
@@ -407,7 +410,7 @@ class CubeRootFamily(_Lifted):
         return self.scale * _each(_cbrt, (a + b) / self.div)
 
     def solve_raw(self, a, b):
-        return _cbrt((b / self.scale) ** 3 * self.div - a ** 3)
+        return _each(lambda a, b: _cbrt((b / self.scale) ** 3 * self.div - a ** 3), a, b)
 
     def idempotent_elements(self):
         if self.scale ** 3 * 2 == self.div:
@@ -427,7 +430,7 @@ class GeometricFamily(_Lifted):
         return _each(math.sqrt, a * b)
 
     def solve_raw(self, a, b):
-        return b * b / a
+        return _each(lambda a, b: b * b / a, a, b)
 
     def idempotent_elements(self):
         return "all"
@@ -445,9 +448,8 @@ class LogSumExpFamily(_Lifted):
         return _each(math.log, a + b)
 
     def solve_raw(self, a, b):
-        if b <= a:
-            return None
-        return math.log(math.exp(b) - math.exp(a))
+        return _each(lambda a, b: math.log(math.exp(b) - math.exp(a)) if b > a else math.nan,
+                     a, b)
 
     def idempotent_elements(self):
         return ()
@@ -458,11 +460,6 @@ class LogSumExpFamily(_Lifted):
 
 Shape = Union[AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily,
               CubeRootFamily, GeometricFamily, LogSumExpFamily]
-
-# the shapes that evaluate many products in one call: the exact ones, whose
-# evaluate_raw is + - * / alone and so runs on _Rationals, and the _Lifted
-_ARRAY_SHAPES = (AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily,
-                 CubeRootFamily, GeometricFamily, LogSumExpFamily)
 
 
 @dataclass(frozen=True)
@@ -509,8 +506,11 @@ class ParametricFamily:
             raise DomainError(f"{self.id}: inputs ({x}, {y}) outside {self.domain}")
         v = self.shape.evaluate_raw(x, y)
         if not self.domain.contains(v):
-            raise ClosureError(f"{self.id}: result {v} escaped {self.domain}")
+            raise self._escape(v)
         return v
+
+    def _escape(self, v: Number) -> ClosureError:
+        return ClosureError(f"{self.id}: result {v} escaped {self.domain}")
 
     def solve_left(self, a: Number, b: Number) -> Optional[Number]:
         """The unique in-domain x with x op a = b, or None."""
@@ -688,6 +688,21 @@ class SampleReport:
         }
 
 
+def _array(fam: ParametricFamily, vals):
+    """vals as one array: rationals in exact mode, float64 in float mode."""
+    if fam.mode == "exact":
+        return vals if isinstance(vals, _Rationals) else _exact(vals)
+    return np.asarray(vals, dtype=float)
+
+
+def _operands(fam: ParametricFamily, vals):
+    """The operands _products takes for vals: their rational array in exact
+    mode, in float mode the float64 array of their lifts, one scalar lift
+    call per value in order."""
+    vals = _array(fam, vals)
+    return vals if fam.mode == "exact" else _each(fam.shape.lift, vals)
+
+
 def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
     """(pts, table, values): the samples coerced, each tested against the
     carrier once (a bad one raises what fam.evaluate(samples[0], samples[k])
@@ -696,7 +711,7 @@ def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
     id of pts[i] op pts[j] in values, or -1 where it escapes the carrier.
     Equal products share one id, numbered in row-major order of first
     appearance; in float mode -0.0 and 0.0 stay apart.  values is a reduced
-    _Rationals in exact mode, a list of floats in float mode."""
+    _Rationals in exact mode, a float64 array in float mode."""
     pts = []
     for x in samples:
         pts.append(fam._coerce(x))
@@ -704,84 +719,50 @@ def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
             raise DomainError(f"{fam.id}: inputs ({pts[0]}, {pts[-1]}) outside {fam.domain}")
     s = len(pts)
     interned: dict = {}
-    ids, floats = _products(fam, pts, np.arange(s * s), s, interned)
+    ids, floats = _products(fam, _operands(fam, pts), np.arange(s * s), s, interned)
     if floats is None:
         ends = np.array(list(interned), dtype=object).reshape(-1, 2)
         return pts, ids.reshape(s, s), _Rationals(ends[:, 0], ends[:, 1])
     live = ids >= 0
     ids[live] = [interned.setdefault((v, math.copysign(1.0, v)), len(interned))
                  for v in floats[live].tolist()]
-    return pts, ids.reshape(s, s), [v for v, _ in interned]
+    return pts, ids.reshape(s, s), np.fromiter((v for v, _ in interned), float, len(interned))
 
 
-def _rational_ids(fam: ParametricFamily, ends: tuple, keys: np.ndarray,
-                  u: int, interned: dict) -> np.ndarray:
-    """The ids of op(values[k // u], values[k % u]) over keys, where ends
-    holds the numerators and denominators of values: one evaluate_raw call
-    on rational arrays, -1 where a product escapes the carrier, and equal
-    products sharing the id interned gives their reduced (num, den)."""
-    num, den = ends
+def _products(fam: ParametricFamily, ops, keys: np.ndarray, u: int,
+              interned: dict) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """op(vals[k // u], vals[k % u]) over keys, for ops = _operands(fam,
+    vals), in one call of the shape: evaluate_raw on rational arrays, or
+    join on lifted floats, bit for bit as one product at a time.  Returns
+    (ids, floats), ids -1 where a product escapes the carrier.  In exact mode
+    equal products share the id interned gives their reduced (num, den) and
+    floats is None; in float mode the id is the key and floats holds the
+    products.  An exception is the shape's own, raised by the batch."""
     p, q = np.divmod(keys, u)
-    v = fam.shape.evaluate_raw(_Rationals(num[p], den[p]),
-                               _Rationals(num[q], den[q])).reduced()
+    if fam.mode == "float":
+        with np.errstate(all="ignore"):
+            floats = fam.shape.join(ops[p], ops[q])
+        return np.where(fam.domain.contains_each(floats), keys, -1), floats
+    v = fam.shape.evaluate_raw(ops[p], ops[q]).reduced()
     ok = fam.domain.contains_each(v)
     ids = np.full(keys.size, -1, dtype=np.intp)
     ids[ok] = [interned.setdefault(nd, len(interned))
                for nd in zip(v.num[ok].tolist(), v.den[ok].tolist())]
-    return ids
+    return ids, None
 
 
-def _products(fam: ParametricFamily, vals, keys: np.ndarray, u: int,
-              interned: dict) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """op(vals[k // u], vals[k % u]) over keys, as (ids, floats), ids -1 where
-    a product escapes the carrier.  In exact mode equal products share the
-    id interned gives their (num, den) and floats is None; in float mode the
-    id is the key and floats holds the products.  A built-in shape evaluates
-    all keys in one call: on rational arrays, or by lifting each value once
-    and joining on float64 arrays, bit for bit as one product at a time.
-    Any other shape, or a float batch that raises, evaluates the keys one at
-    a time in the order given, a ClosureError reading as an escape, so that
-    any other exception comes from the first key raising it."""
-    if type(fam.shape) in _ARRAY_SHAPES and fam.mode == "exact":
-        vals = vals if isinstance(vals, _Rationals) else _exact(vals)
-        return _rational_ids(fam, (vals.num, vals.den), keys, u, interned), None
-    if type(fam.shape) in _ARRAY_SHAPES:
-        try:
-            with np.errstate(all="ignore"):
-                lifted = np.array([fam.shape.lift(v) for v in vals], dtype=float)
-                p, q = np.divmod(keys, u)
-                floats = fam.shape.join(lifted[p], lifted[q])
-            return np.where(fam.domain.contains_each(floats), keys, -1), floats
-        except (ArithmeticError, ValueError):
-            pass
-    vals, got = list(vals), []
-    for i, j in zip(*(k.tolist() for k in np.divmod(keys, u))):
-        try:
-            got.append(fam.shape.evaluate_raw(vals[i], vals[j]))
-        except ClosureError:
-            got.append(None)
-    if fam.mode == "exact":
-        return np.array([interned.setdefault((v.numerator, v.denominator), len(interned))
-                         if v is not None and fam.domain.contains(v) else -1
-                         for v in got], dtype=np.intp), None
-    floats = np.array(got, dtype=float)         # None, an escape, reads nan
-    return np.where(fam.domain.contains_each(floats), keys, -1), floats
-
-
-def _solve_each(fam: ParametricFamily, a: _Rationals,
-                b: _Rationals) -> tuple[_Rationals, np.ndarray]:
-    """fam._solve(a[k], b[k]) for every k of an exact family, as reduced
-    solutions and a mask of those in the carrier: one solve_raw call on
-    rational arrays for a built-in shape, where an entry whose divisor is
-    zero (den 0 from _ratio) has no solution, else one call per k."""
-    if type(fam.shape) in _ARRAY_SHAPES:
+def _solve_each(fam: ParametricFamily, a, b) -> tuple:
+    """fam._solve(a[k], b[k]) for every k, in one solve_raw call on two
+    arrays of _array's kind: the solutions, reduced in exact mode, and a
+    mask of those in the carrier.  An entry has no solution where its
+    divisor is zero (den 0 from _ratio) or, in float mode, where it is nan."""
+    with np.errstate(all="ignore"):
         x = fam.shape.solve_raw(a, b)
+    if fam.mode == "exact":
         some = x.den != 0
         x = _Rationals(x.num, np.where(some, x.den, 1)).reduced()
         return x, some & fam.domain.contains_each(x)
-    got = [fam._solve(p, q) for p, q in zip(a, b)]
-    return (_exact([0 if x is None else x for x in got]),
-            np.array([x is not None for x in got], dtype=bool))
+    return x, fam.domain.contains_each(x)
 
 
 def sampled_axiom_check(fam: ParametricFamily,
@@ -792,16 +773,16 @@ def sampled_axiom_check(fam: ParametricFamily,
     tracks the worst residual against tolerance 1e-9.  A family with a unit
     is classified from the same pair table.
 
-    Each distinct ordered product is evaluated once per call by _products:
-    products of samples in _pair_table, products of two such products from a
-    u x u table over their ids, one slice of quadruples (a, b, c, d) per a.
-    A built-in shape takes each slice's missing keys in one batch, in key
-    order; any other shape in the order the quadruple loop first needs
-    them, so that an exception comes from the same product.  M1 compares
-    the pair table with its transpose; exact M2 solves all live pairs in one
-    _solve_each call, float M2 one pair at a time with the residual of
-    x' op y.  Every lookup of an escaped product counts one
-    closure violation, as one failing evaluation per call site would.
+    Each stage is a batch, and each distinct ordered product is evaluated
+    once per call by _products: products of samples in _pair_table, products
+    of two such products from a u x u table over their ids, taking each
+    slice of quadruples (a, b, c, d) per a and that slice's missing keys in
+    key order.  Float mode lifts each value once per stage.  M1 compares the
+    pair table with its transpose; M2 solves all live pairs in one
+    _solve_each call, and in float mode evaluates x' op y for every solution
+    x' in one more batch, the first escaping pair raising evaluate's
+    ClosureError.  Every lookup of an escaped product counts one closure
+    violation, as one failing evaluation per call site would.
     """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
@@ -809,26 +790,26 @@ def sampled_axiom_check(fam: ParametricFamily,
     closure = 2 * int((pairs < 0).sum())      # one at (x, y), one at (y, x)
     live = (pairs >= 0) & (pairs.T >= 0)
     i, j = np.nonzero(live)                   # the pairs (x, y), row-major
+    xs, v = _array(fam, coerced), values[pairs[i, j]]
+    got, ok = _solve_each(fam, xs[j], v)
     m3 = True
     if exact:
         m1 = bool(live.all() and (pairs == pairs.T).all())   # interned ids
-        xs = _exact(coerced)
-        got, ok = _solve_each(fam, xs[j], values[pairs[i, j]])
         m2 = bool(ok.all() and got.same(xs[i]).all())
     else:
-        fv = np.array(values)
-        worst = float(np.abs(fv[pairs[i, j]] - fv[pairs[j, i]]).max(initial=0.0))
+        worst = float(np.abs(v - values[pairs[j, i]]).max(initial=0.0))
         m1 = bool(live.all()) and worst <= FLOAT_TOL
-        m2 = True
-        for x, y in zip(i.tolist(), j.tolist()):
-            # float conditioning (cube roots near zero) can push the
-            # recovered pre-image far from x, so check the defining
-            # equation instead: the solution must solve x' op y = v
-            v = values[pairs[x, y]]
-            got = fam._solve(coerced[y], v)
-            residual = None if got is None else abs(fam.evaluate(got, coerced[y]) - v)
-            worst = max(worst, residual or 0.0)
-            m2 = m2 and residual is not None and residual <= FLOAT_TOL
+        # float conditioning (cube roots near zero) can push the recovered
+        # pre-image far from x, so check the defining equation instead: the
+        # solution must solve x' op y = v
+        with np.errstate(all="ignore"):
+            back = fam.shape.join(_operands(fam, got[ok]), _operands(fam, coerced)[j[ok]])
+        escaped = ~fam.domain.contains_each(back)
+        if escaped.any():
+            raise fam._escape(back[escaped][0].item())
+        residual = np.abs(back - v[ok])
+        worst = max(worst, float(residual.max(initial=0.0)))
+        m2 = bool(ok.all() and (residual <= FLOAT_TOL).all())
 
     # second[p * u + q] is -2 until op(values[p], values[q]) is evaluated
     # (-3 while a batch waits for it), then -1 if it escaped the carrier,
@@ -838,6 +819,7 @@ def sampled_axiom_check(fam: ParametricFamily,
     second = np.full(u * u, -2, dtype=np.intp)
     interned: dict = {}
     seconds = np.empty(0 if exact else u * u)
+    ops = _operands(fam, values)
     for row in pairs:                         # one slice per a
         live = row >= 0                       # the b (and c) with ab live
         nb = int(live.sum())
@@ -851,15 +833,10 @@ def sampled_axiom_check(fam: ParametricFamily,
         mask = (cd >= 0) & (bd >= 0)
         lhs = (ids[:, None, None] * u + cd)[mask]
         rhs = (ids[None, :, None] * u + bd)[mask]
-        if type(fam.shape) in _ARRAY_SHAPES:  # rhs(b, c, d) = lhs(c, b, d)
-            second[lhs[second[lhs] == -2]] = -3
-            keys = np.flatnonzero(second == -3)
-        else:           # one at a time, in the order the loop needs them
-            need = np.stack((lhs, rhs), axis=1).ravel()
-            need = need[second[need] == -2]
-            keys = need[np.sort(np.unique(need, return_index=True)[1])]
+        second[lhs[second[lhs] == -2]] = -3   # rhs(b, c, d) = lhs(c, b, d)
+        keys = np.flatnonzero(second == -3)
         if keys.size:
-            second[keys], got = _products(fam, values, keys, u, interned)
+            second[keys], got = _products(fam, ops, keys, u, interned)
             if got is not None:
                 seconds[keys] = got
         lhs, rhs = second[lhs], second[rhs]
@@ -891,12 +868,13 @@ def sampled_associativity(fam: ParametricFamily,
     a, b, c = np.nonzero((pairs[:, :, None] >= 0) & (pairs[None, :, :] >= 0))
     keys, inv = np.unique(np.concatenate((pairs[a, b] * w + u + c,
                                           (u + a) * w + pairs[b, c])), return_inverse=True)
-    ids, floats = _products(fam, [*values, *pts], keys, w, {})
+    ids, floats = _products(fam, _operands(fam, [*values, *pts]), keys, w, {})
     lhs, rhs = inv.reshape(2, -1)
     both = (ids[lhs] >= 0) & (ids[rhs] >= 0)
+    lhs, rhs = lhs[both], rhs[both]
     if floats is None:
-        return bool((ids[lhs] == ids[rhs])[both].all())
-    return bool((np.abs(floats[lhs] - floats[rhs])[both] <= FLOAT_TOL).all())
+        return bool((ids[lhs] == ids[rhs]).all())
+    return bool((np.abs(floats[lhs] - floats[rhs]) <= FLOAT_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -982,19 +960,15 @@ def _classify(fam: ParametricFamily, pts: list, coerced: list, pairs: np.ndarray
               values) -> FamilyClassification:
     """classify_family on the pair table of pts: the monoid witness of pair
     (x, y) solves theta op e = x op y, once per distinct product, and is
-    None where x op y escapes the carrier.  In exact mode each kind of solve
-    takes one _solve_each call, and a witness that exists reads True."""
+    None where x op y escapes the carrier.  Each kind of solve takes one
+    _solve_each call, and a witness that exists reads True.  Float shapes
+    are judged by their witnesses alone."""
     e = fam.unit
     s, u = len(coerced), len(values)
-    if fam.mode == "exact":
-        total = _totality(fam.shape, e)
-        xs, es = _exact(coerced), _exact([e] * max(s, u))
-        solved = [[ok or None for ok in _solve_each(fam, a, b)[1].tolist()]
-                  for a, b in ((es[:s], xs), (xs, es[:s]), (es[:u], values))]
-    else:   # float shapes are judged by their witnesses alone
-        total = (None, None, None)
-        solved = [[fam._solve(a, b) for a, b in ab] for ab in (
-            [(e, c) for c in coerced], [(c, e) for c in coerced], [(e, z) for z in values])]
+    total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
+    xs, es = _array(fam, coerced), _array(fam, [e] * max(s, u))
+    solved = [[ok or None for ok in _solve_each(fam, a, b)[1].tolist()]
+              for a, b in ((es[:s], xs), (xs, es[:s]), (es[:u], values))]
     expansive, ev_exp = _flag_with_evidence(
         fam, "expansive", total[0], ((f"a={a}", x) for a, x in zip(pts, solved[0])))
     symmetric, ev_sym = _flag_with_evidence(

@@ -2,7 +2,8 @@
 relation, catalog.
 
 Machine-readable JSON goes to stdout, a short human summary to stderr.
-Exit status: 0 success, 1 property violation, 2 usage or parse error.
+Exit status: 0 success, 1 property violation, 2 usage or parse error, or
+a command that ran out of memory.
 `main(argv)` may be called in process any number of times: each call builds
 only the chosen subcommand's parser and keeps no state between calls.
 """
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:   # missing file, directory, unreadable file
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

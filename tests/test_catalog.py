@@ -20,9 +20,8 @@ from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REA
                              DomainError, GeometricFamily, HarmonicFamily, Interval,
                              LogSumExpFamily, ParametricFamily,
                              ProbSumFamily, TanhSumFamily, _Lifted, _Rationals,
-                             _products, _rational_ids, _solve_each, _totality,
-                             classify_family,
-                             default_samples,
+                             _operands, _pair_table, _products, _solve_each,
+                             _totality, classify_family, default_samples,
                              half_has_no_inverse_check, monoid_formula_check,
                              sampled_associativity, sampled_axiom_check)
 from ccmagma.core import check_axioms
@@ -513,34 +512,50 @@ NON_CLOSED = [
 ]
 
 
+def _entrywise(op, x, y):
+    """op on each pair of entries of two rational or float64 arrays, in
+    order, or on two scalars: the array form of a test double's formula."""
+    if isinstance(x, _Rationals):
+        return _rationals([op(a, b) for a, b in zip(x, y)])
+    if isinstance(x, np.ndarray):
+        return np.array([op(a, b) for a, b in zip(x.tolist(), y.tolist())], dtype=float)
+    return op(x, y)
+
+
+def _identity(x):
+    return x
+
+
 @dataclass(frozen=True)
 class TrapShape:
     """(x + y)/3 on [-1, 1], raising a ValueError that names its arguments
-    on each ordered pair in trap, leaving the carrier on each in escape, and
-    raising ClosureError on each in closure."""
+    on each ordered pair in trap, and giving x + 3, outside the carrier, on
+    each in escape."""
     trap: frozenset
     escape: frozenset = frozenset()
     domain: Interval = Interval(-1, 1)
-    closure: frozenset = frozenset()
     mode = "exact"
 
-    def evaluate_raw(self, x, y):
+    def _op(self, x, y):
         if (x, y) in self.trap:
             raise ValueError(f"trap at ({x}, {y})")
-        if (x, y) in self.closure:
-            raise ClosureError(f"closure at ({x}, {y})")
         if (x, y) in self.escape:
-            return F(2)
+            return x + 3
         return (x + y) / 3
+
+    def evaluate_raw(self, x, y):
+        return _entrywise(self._op, x, y)
 
     def solve_raw(self, a, b):
         return 3 * b - a
 
 
 @dataclass(frozen=True)
-class FloatTrapShape(TrapShape):
-    """TrapShape on floats: its products of products take the float path."""
+class FloatTrapShape(_Lifted, TrapShape):
+    """TrapShape on floats, lifted by the identity."""
     mode = "float"
+    lift = staticmethod(_identity)
+    join = TrapShape.evaluate_raw
 
 
 @dataclass(frozen=True)
@@ -557,8 +572,10 @@ class SkewShape:
 
 
 @dataclass(frozen=True)
-class FloatSkewShape(SkewShape):
+class FloatSkewShape(_Lifted, SkewShape):
     mode = "float"
+    lift = staticmethod(_identity)
+    join = SkewShape.evaluate_raw
 
 
 @dataclass(frozen=True)
@@ -569,7 +586,7 @@ class LeakySumShape:
     mode = "exact"
 
     def evaluate_raw(self, x, y):
-        return F(5) if (x, y) in self.leak else x + y
+        return _entrywise(lambda x, y: F(5) if (x, y) in self.leak else x + y, x, y)
 
     def solve_raw(self, a, b):
         return b - a
@@ -581,9 +598,10 @@ def _floats(pairs):
 
 TRAPS = [
     {(F(-1, 6), F(-2, 3))},
-    # the loop needs the first pair of each set before the second; a
-    # scan that took the keys in sorted order would raise on the second
-    # pair here, and one that took rhs before lhs in the next case
+    # the loop needs the first pair of each set before the second; a slice
+    # takes its keys in key order, where the second pair comes first here
+    # (FIRST_IN_KEY_ORDER), and a scan that took rhs before lhs would raise
+    # on the second pair in the next case
     {(F(-1, 6), F(-2, 3)), (F(-2, 3), F(1, 3))},
     {(F(-2, 3), F(1, 3)), (F(-1, 6), F(-1, 6))},
     # products of two samples: the pair table meets (1/2, 0) first, before
@@ -592,6 +610,17 @@ TRAPS = [
     {(F(0), F(1, 2)), (F(1, 2), F(0))},
     {(F(-1, 6), F(-2, 3)), (F(1, 2), F(0))},
 ]
+
+# the trapped product a check raises at, by index in TRAPS, where it is not
+# the one the one-at-a-time loop meets first
+FIRST_IN_KEY_ORDER = {1: (F(-2, 3), F(1, 3))}
+
+
+def _trap_message(trap, brute_message, number=F):
+    k = TRAPS.index(trap)
+    if k not in FIRST_IN_KEY_ORDER:
+        return brute_message
+    return "trap at ({}, {})".format(*map(number, FIRST_IN_KEY_ORDER[k]))
 
 # float shapes on carriers whose ends no float holds: a product equal to
 # float(end) lies in the carrier or not by the sign of float(end) - end
@@ -678,7 +707,7 @@ class TestSampledAxiomOracle:
         with pytest.raises(ValueError) as brute:
             brute_sampled_axiom_check(fam, samples)
         assert "trap at" in str(brute.value)
-        with pytest.raises(ValueError, match=re.escape(str(brute.value))):
+        with pytest.raises(ValueError, match=re.escape(_trap_message(trap, str(brute.value)))):
             sampled_axiom_check(fam, samples)
 
     @pytest.mark.parametrize("trap", TRAPS)
@@ -689,20 +718,9 @@ class TestSampledAxiomOracle:
         with pytest.raises(ValueError) as brute:
             brute_sampled_axiom_check(fam, samples)
         assert "trap at" in str(brute.value)
-        with pytest.raises(ValueError, match=re.escape(str(brute.value))):
+        want = _trap_message(trap, str(brute.value), float)
+        with pytest.raises(ValueError, match=re.escape(want)):
             sampled_axiom_check(fam, samples)
-
-    @pytest.mark.parametrize("shape", [TrapShape, FloatTrapShape])
-    def test_closure_error_from_a_product_of_products_is_an_escape(self, shape):
-        # (-1/6, -2/3) is a product of two products, never of two samples
-        pair = {(F(-1, 6), F(-2, 3))}
-        closure = _floats(pair) if shape.mode == "float" else frozenset(pair)
-        fam = ParametricFamily("closure", shape(frozenset(), closure=closure),
-                               "(a+b)/3", None, None, False)
-        samples = [F(-1), F(1, 2), F(0), F(1)]
-        rep = sampled_axiom_check(fam, samples)
-        assert not rep.m3_ok and rep.closure_violations > 0
-        assert rep == brute_sampled_axiom_check(fam, samples)
 
     def test_escape_among_samples_alone_falsifies_m3(self):
         # every product of two products stays in [-2/3, 2/3], so only the
@@ -726,6 +744,20 @@ class TestSampledAxiomOracle:
                       brute_classify_family, classify_family):
             with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
                 check(fam, pts)
+
+    def test_an_escaping_m2_residual_raises_evaluates_closure_error(self, monkeypatch):
+        # a solver answering x' = y: the residual y op y of each live pair
+        # (x, y) escapes where y is 1.0 or 0.5, and the first such pair in
+        # row-major order, (-1.0, 1.0), names 4.0
+        monkeypatch.setattr(FloatTrapShape, "solve_raw", lambda self, a, b: a)
+        shape = FloatTrapShape(frozenset(), _floats({(1, 1), (F(1, 2), F(1, 2))}))
+        fam = ParametricFamily("escape", shape, "(a+b)/3", None, None, False)
+        samples = [-1.0, 1.0, 0.0, 0.5]
+        with pytest.raises(ClosureError) as brute:
+            brute_sampled_axiom_check(fam, samples)
+        assert str(brute.value) == "escape: result 4.0 escaped [-1,1]"
+        with pytest.raises(ClosureError, match=f"^{re.escape(str(brute.value))}$"):
+            sampled_axiom_check(fam, samples)
 
     def test_sample_outside_the_carrier_is_a_domain_error(self):
         with pytest.raises(DomainError):
@@ -884,8 +916,8 @@ class TestRationalArrays:
         fam = ParametricFamily("h3", HarmonicFamily(3, Interval(F(1, 2), 2)),
                                "3ab/(a+b)", None, None, False)
         values = [F(k, 6) for k in range(3, 13)]
-        u, r = len(values), _rationals(values)
-        ids = _rational_ids(fam, (r.num, r.den), np.arange(u * u), u, {})
+        u = len(values)
+        ids, _ = _products(fam, _rationals(values), np.arange(u * u), u, {})
         want = [fam.shape.evaluate_raw(x, y) for x in values for y in values]
         inside = [fam.domain.contains(w) for w in want]
         assert 0 < sum(inside) < len(want)
@@ -1019,17 +1051,16 @@ class TestFloatArrays:
             vals = [v for v in vals if v >= 0]     # a negative product raises
         u = len(vals)
         want = [fam.shape.evaluate_raw(x, y) for x in vals for y in vals]
-        # the batch never falls back to one evaluate_raw call per key
+        # the batch never evaluates one product at a time
         monkeypatch.setattr(_Lifted, "evaluate_raw", None)
-        ids, floats = _products(fam, vals, np.arange(u * u), u, {})
+        ids, floats = _products(fam, _operands(fam, vals), np.arange(u * u), u, {})
         assert [v.hex() for v in floats.tolist()] == [w.hex() for w in want]
         assert ids.tolist() == [k if fam.domain.contains(w) else -1
                                 for k, w in enumerate(want)]
 
     def test_grids_never_evaluate_one_product_at_a_time(self, monkeypatch):
-        # every evaluate_raw call of a float family comes from a checked
-        # evaluate (the residual of an M2 solve), none from the per-key
-        # loop of _products
+        # products, M2 solves and their residuals are batches: no float
+        # family reaches evaluate_raw, nor the checked evaluate
         raw, checked = [], []
         evaluate_raw, evaluate = _Lifted.evaluate_raw, ParametricFamily.evaluate
 
@@ -1046,7 +1077,21 @@ class TestFloatArrays:
         for fam in FLOAT_FAMILIES:
             for g in range(2, 17):
                 sampled_axiom_check(fam, denominator=g)
-        assert len(raw) == len(checked) > 0
+        assert raw == checked == []
+
+    def test_a_check_lifts_each_value_once_per_stage(self, monkeypatch):
+        # logsumexp-R at grid 8: the pair table lifts the 18 samples, M2 the
+        # samples and the solution of each of the 324 live pairs, M3 the 171
+        # products; lifting every product on each M3 slice took 4,392 calls
+        fam = CATALOG["logsumexp-R"]
+        pts, pairs, values = _pair_table(fam, default_samples(fam, 8))
+        assert (len(pts), int((pairs >= 0).sum()), len(values)) == (18, 324, 171)
+        lifts = []
+        monkeypatch.setattr(LogSumExpFamily, "lift",
+                            staticmethod(lambda x: lifts.append(x) or math.exp(x)))
+        sampled_axiom_check(fam, pts)
+        assert len(lifts) == 18 + (18 + 324) + 171
+        assert lifts[:18] == pts and lifts[-171:] == values.tolist()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fam,pts,error,message", [
@@ -1108,10 +1153,9 @@ class TestClassificationOracle:
 
 
 def test_exact_catalog_commands_make_no_checked_evaluate_calls(monkeypatch):
-    # exact families evaluate and solve on rational arrays; the
-    # harmonic-(0,1] command adds the two evaluations of the two star_solve
-    # calls of half_has_no_inverse_check; float families still check the
-    # residual of each M2 solve with one evaluate
+    # every family evaluates and solves on arrays; only the harmonic-(0,1]
+    # command adds the two evaluations of the two star_solve calls of
+    # half_has_no_inverse_check
     calls = []
     evaluate = ParametricFamily.evaluate
 
@@ -1123,9 +1167,8 @@ def test_exact_catalog_commands_make_no_checked_evaluate_calls(monkeypatch):
     for fid, fam in CATALOG.items():
         before = len(calls)
         cli.main(["catalog", "--family", fid, "--samples", "8"])
-        if fam.mode == "exact":
-            assert len(calls) - before == (2 if fid == "harmonic-(0,1]" else 0), fid
-    assert len(calls) == 640
+        assert len(calls) - before == (2 if fid == "harmonic-(0,1]" else 0), fid
+    assert len(calls) == 2
 
 
 class TestClassification:

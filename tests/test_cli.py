@@ -84,6 +84,18 @@ class TestCheck:
         code, _, _ = run(capsys, "check", str(tmp_path / "nope.tbl"))
         assert code == 2
 
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8 GiB")])
+    def test_memory_error_exit_2(self, capsys, monkeypatch, exc):
+        # a raise stands in for an allocation that fails
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "sampled_axiom_check", exhausted)
+        assert cli.main(["catalog", "--family", "sum-R"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {str(exc) or 'out of memory'}\n"
+
     def test_schema_fields(self, capsys, a2_file):
         _, report, _ = run(capsys, "check", a2_file)
         assert report["schema"] == "ccmagma.report/1"
