@@ -622,6 +622,7 @@ def _trap_message(trap, brute_message, number=F):
         return brute_message
     return "trap at ({}, {})".format(*map(number, FIRST_IN_KEY_ORDER[k]))
 
+
 # float shapes on carriers whose ends no float holds: a product equal to
 # float(end) lies in the carrier or not by the sign of float(end) - end
 NON_DYADIC_FLOAT = [
