@@ -2,10 +2,12 @@
 relation, catalog.
 
 Machine-readable JSON goes to stdout, a short human summary to stderr.
-Exit status: 0 success, 1 property violation, 2 usage or parse error, or
-a command that ran out of memory.
+Exit status: 0 success, 1 property violation, 2 usage or parse error, a
+size whose arrays would pass MAX_CELLS, or a command that ran out of memory.
 `main(argv)` may be called in process any number of times: each call builds
 only the chosen subcommand's parser and keeps no state between calls.
+Only `core` and `generation` load with this module; `classify`, `relation`
+and `catalog` import the rest of the library when they run.
 """
 
 from __future__ import annotations
@@ -19,21 +21,22 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .catalog import (CATALOG, default_samples, half_has_no_inverse_check,
-                      monoid_formula_check, sampled_axiom_check)
 from .core import (FiniteMagma, ParseError, check_axioms, format_magma,
                    idempotent_subalgebra, idempotents, parse_magma,
                    subalgebra_closure)
 from .generation import (extract_group, generate_quasigroup,
                          idempotent_parity_audit, invariant_factors)
-from .relations import format_relation, subalgebra_relation, transitivity_criterion
-from .structures import NotIdempotentError, classify_finite
 
 SCHEMA = "ccmagma.report/1"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+# the most array cells (8 bytes each) a command may plan to hold at once:
+# generate holds about 4 n^2 at order n, catalog about s^4 for s samples
+# (its table of products of products, over up to s^2 distinct products)
+MAX_CELLS = 1 << 27
 
 
 def _digest(data: bytes) -> str:
@@ -52,6 +55,15 @@ def _emit(report: dict, summary: list[str], args, started: float) -> None:
     if not (args.quiet or args.json):
         for line in summary:
             print(line, file=sys.stderr)
+
+
+def _over_cap(flag: str, value: int, cells: int) -> bool:
+    """Print the refusal of a size whose arrays would pass MAX_CELLS."""
+    if cells <= MAX_CELLS:
+        return False
+    print(f"error: {flag} {value} needs about {cells} array cells, "
+          f"over the cap of {MAX_CELLS}", file=sys.stderr)
+    return True
 
 
 def _load(path: str) -> tuple[FiniteMagma, dict]:
@@ -96,6 +108,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .structures import NotIdempotentError, classify_finite
     started = time.perf_counter()
     magma, source = _load_ccm(args, started)
     if magma is None:
@@ -133,6 +146,8 @@ def _cmd_generate(args) -> int:
     started = time.perf_counter()
     if args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if _over_cap("--order", args.order, 4 * args.order ** 2):
         return EXIT_USAGE
     magma, params = generate_quasigroup(args.order, args.seed)
     text = format_magma(magma)
@@ -188,6 +203,7 @@ def _cmd_extract_group(args) -> int:
 
 
 def _cmd_relation(args) -> int:
+    from .relations import format_relation, subalgebra_relation, transitivity_criterion
     started = time.perf_counter()
     magma, source = _load_ccm(args, started)
     if magma is None:
@@ -245,6 +261,8 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import (CATALOG, default_samples, half_has_no_inverse_check,
+                          monoid_formula_check, sampled_axiom_check)
     started = time.perf_counter()
     if args.family is None:
         listing = [{"id": fam.id, "formula": fam.formula,
@@ -260,6 +278,10 @@ def _cmd_catalog(args) -> int:
               file=sys.stderr)
         for known in CATALOG:
             print(f"  {known}", file=sys.stderr)
+        return EXIT_USAGE
+    # the grid k/samples, k = 0..samples, the closed ends and the extras
+    s = args.samples + 3 + len(fam.extra_samples)
+    if _over_cap("--samples", args.samples, s ** 4):
         return EXIT_USAGE
     sample_report = sampled_axiom_check(fam, default_samples(fam, args.samples))
     results = sample_report.to_dict()

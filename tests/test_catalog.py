@@ -1242,14 +1242,15 @@ class TestAssociativityMetadata:
 
     def test_sampled_associativity_evaluates_each_product_once(self, monkeypatch):
         # sum-R at grid 8: the 11^2 sample products in one call, then (ab)c
-        # and a(bc) once per distinct pair of ids (of a value or a sample) in
-        # another: 814 products, of which 693 are distinct as numbers, where
-        # a loop over triples made 2,783 checked evaluate calls
+        # and a(bc) once per distinct pair of ids (of a value or a sample,
+        # a sample equal to a value taking its id) in another: 693 products,
+        # all distinct as numbers, where a loop over triples made 2,783
+        # checked evaluate calls
         calls = []
         _count_evaluate_raw(monkeypatch, calls)
         monkeypatch.setattr(ParametricFamily, "evaluate", None)
         assert sampled_associativity(CATALOG["sum-R"]) is True
-        assert list(map(len, calls)) == [11 * 11, 814]
+        assert list(map(len, calls)) == [11 * 11, 693]
         assert len(set(calls[1])) == 693
 
 

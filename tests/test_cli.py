@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmagma import __version__, cli, core, fixtures, structures
+from ccmagma import __version__, catalog, cli, core, fixtures, structures
 from ccmagma.cli import main
 from ccmagma.core import format_magma, idempotents
 from ccmagma.generation import generate_quasigroup
@@ -90,7 +91,7 @@ class TestCheck:
         def exhausted(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "sampled_axiom_check", exhausted)
+        monkeypatch.setattr("ccmagma.catalog.sampled_axiom_check", exhausted)
         assert cli.main(["catalog", "--family", "sum-R"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -367,6 +368,141 @@ class TestEntryPoint:
         for sub in ("check", "classify", "generate", "extract-group",
                     "relation", "catalog"):
             assert sub in proc.stdout
+
+
+# every public name of the ccmagma package, by the submodule that defines
+# it; a submodule's own name maps to itself
+PUBLIC_NAMES = {
+    **dict.fromkeys(("AxiomReport", "FiniteMagma", "Homomorphism", "ParseError",
+                     "check_axioms", "compose", "constant_hom", "derived_magma",
+                     "format_magma", "identity_hom", "idempotent_subalgebra",
+                     "idempotents", "is_homomorphism", "magma_from_function",
+                     "pair_hom", "pair_index", "pair_split", "parse_magma",
+                     "product_magma", "subalgebra_closure", "weak_maltsev_p"), "core"),
+    **dict.fromkeys(("AssociativityReport", "ClassificationLabel", "GroupStructure",
+                     "MonoidStructure", "NotIdempotentError",
+                     "associativity_equivalences", "classify", "classify_finite",
+                     "double", "double_table", "doubling_additivity_check",
+                     "internal_group", "internal_monoid", "is_expansive",
+                     "is_homogeneous", "is_symmetric", "midpoint_distributivity_check",
+                     "monoid_isomorphism", "negate"), "structures"),
+    **dict.fromkeys(("BinaryRelation", "KiteInput", "PullbackSpan", "build_pullback",
+                     "equalizer_relation", "format_relation", "full_relation",
+                     "identity_relation", "kite_theta", "parse_relation_grid",
+                     "pullback_pairs", "relation_from_pairs", "subalgebra_relation",
+                     "subalgebra_witnesses", "transitivity_criterion"), "relations"),
+    **dict.fromkeys(("AbelianGroupSpec", "ToyodaParams", "element_orders",
+                     "extract_group", "generate_quasigroup", "groups_isomorphic",
+                     "idempotent_parity_audit", "invariant_factors", "toyoda_table"),
+                    "generation"),
+    **dict.fromkeys(("CATALOG", "ClosureError", "DomainError", "FamilyClassification",
+                     "Interval", "ParametricFamily", "SampleReport", "classify_family",
+                     "default_samples", "half_has_no_inverse_check",
+                     "monoid_formula_check", "sampled_associativity",
+                     "sampled_axiom_check"), "catalog"),
+    **{m: m for m in ("core", "structures", "relations", "generation", "catalog",
+                      "fixtures")},
+}
+
+
+def _fresh(code):
+    """The JSON value a fresh interpreter prints last after running code."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# an expression for what of ccmagma and numpy an interpreter has loaded
+LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ccmagma'))"
+
+
+class TestImportGraph:
+    """Each entry point loads only the modules it uses, each in a fresh
+    interpreter: the package namespace resolves its names on first access,
+    and the CLI imports catalog, relations and structures in the commands
+    that use them."""
+
+    def test_bare_import_loads_no_submodule(self):
+        assert _fresh(f"import json, sys, ccmagma; print(json.dumps({LOADED}))") == ["ccmagma"]
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["check", "z9.tbl"], []),
+        (["generate", "--order", "9", "--seed", "1", "--out", "g.tbl"], []),
+        (["extract-group", "z9.tbl", "--unit", "0"], []),
+        (["classify", "z9.tbl", "--unit", "0"], ["structures"]),
+        (["relation", "z9.tbl", "--subalgebra", "0,3,6", "--unit", "0"], ["relations"]),
+        (["catalog", "--family", "sum-R", "--samples", "4"], ["catalog", "structures"]),
+    ], ids=["check", "generate", "extract-group", "classify", "relation", "catalog"])
+    def test_command_loads(self, tmp_path, argv, extra):
+        (tmp_path / "z9.tbl").write_text(format_magma(Z9A))
+        argv = [str(tmp_path / a) if a.endswith(".tbl") else a for a in argv]
+        got = _fresh("import contextlib, io, json, sys\n"
+                     "from ccmagma.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    status = main({['--json', *argv]!r})\n"
+                     f"print(json.dumps([status, {LOADED}]))")
+        assert got == [0, sorted(["ccmagma", "numpy", *(f"ccmagma.{m}" for m in
+                                  ["cli", "core", "generation", *extra])])]
+
+    def test_names_are_their_submodule_objects(self):
+        # first access resolves each name in a fresh interpreter
+        mismatched = _fresh(
+            "import importlib, json, ccmagma\n"
+            f"names = {PUBLIC_NAMES!r}\n"
+            "def source(name, module):\n"
+            "    mod = importlib.import_module('ccmagma.' + module)\n"
+            "    return mod if name == module else getattr(mod, name)\n"
+            "print(json.dumps([n for n, m in names.items()\n"
+            "                  if getattr(ccmagma, n) is not source(n, m)\n"
+            "                  or n not in dir(ccmagma)]))")
+        assert mismatched == []
+        import ccmagma
+        assert ccmagma.__version__ == __version__
+        assert set(ccmagma.__all__) == set(PUBLIC_NAMES)
+
+    def test_unknown_attribute_raises(self):
+        assert _fresh("import json, ccmagma\n"
+                      "try:\n"
+                      "    ccmagma.no_such_name\n"
+                      "except AttributeError as exc:\n"
+                      "    print(json.dumps(str(exc)))") == \
+            "module 'ccmagma' has no attribute 'no_such_name'"
+
+
+class TestSizeCaps:
+    """generate --order and catalog --samples refuse a size whose arrays
+    would pass cli.MAX_CELLS, before they allocate.  The cap is lowered
+    here, so that no test runs a large size."""
+
+    def test_at_the_cap_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "MAX_CELLS", 4 * 9 ** 2)
+        assert main(["generate", "--order", "9", "--out", "g.tbl"]) == 0
+        fam = catalog.CATALOG["sum-R"]
+        monkeypatch.setattr(cli, "MAX_CELLS", (4 + 3 + len(fam.extra_samples)) ** 4)
+        assert main(["catalog", "--family", "sum-R", "--samples", "4"]) == 0
+
+    @pytest.mark.parametrize("argv, cells", [
+        (["generate", "--order", "257", "--out", "g.tbl"], 4 * 257 ** 2),
+        (["catalog", "--samples", "33", "--family", "logsumexp-R"],
+         (33 + 3 + len(catalog.CATALOG["logsumexp-R"].extra_samples)) ** 4),
+    ], ids=["generate", "catalog"])
+    def test_refused_just_above_the_cap(self, tmp_path, monkeypatch, capsys, argv, cells):
+        # unrefused, these two allocate about 2 MB and 20 MB
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (status, out) == (2, "")
+        assert err == (f"error: {argv[1]} {argv[2]} needs about {cells} array cells, "
+                       f"over the cap of {cells - 1}\n")
+        assert peak < 200_000, peak
+        assert list(tmp_path.iterdir()) == []
 
 
 class _Parsed(Exception):
