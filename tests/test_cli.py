@@ -505,6 +505,147 @@ class TestSizeCaps:
         assert list(tmp_path.iterdir()) == []
 
 
+UNKNOWN_FAMILY = "".join(["error: unknown family 'nope'; known ids:\n",
+                          *(f"  {known}\n" for known in catalog.CATALOG)])
+NOT_IDEMPOTENT_WARNING = ("warning: unit 1 is not idempotent: the extracted group is "
+                          "valid but does not come from an internal monoid\n")
+
+# argv -> (exit status, error kind or None, stderr with the summary,
+# stderr under --json); the tables are written by TestStderr.tables
+STDERR_CASES = {
+    # usage errors: no report, the same error line with and without --json
+    **{" ".join(argv): (2, None, err, err) for argv, err in [
+        (["classify", "f5.tbl", "--unit", "9"], "error: unit 9 out of range\n"),
+        (["extract-group", "f5.tbl", "--unit", "5"], "error: unit 5 out of range\n"),
+        (["generate", "--order", "0", "--out", "g.tbl"], "error: --order must be >= 1\n"),
+        (["generate", "--order", "6000", "--out", "g.tbl"],
+         "error: --order 6000 needs about 144000000 array cells, "
+         "over the cap of 134217728\n"),
+        (["catalog", "--family", "sum-R", "--samples", "200"],
+         "error: --samples 200 needs about 1766100625 array cells, "
+         "over the cap of 134217728\n"),
+        (["relation", "z9.tbl", "--subalgebra", "0,a", "--unit", "0"],
+         "error: bad --subalgebra '0,a'\n"),
+        (["relation", "z9.tbl", "--subalgebra", "0,99", "--unit", "0"],
+         "error: --subalgebra elements [99] out of range 0..8\n"),
+        (["catalog", "--family", "nope"], UNKNOWN_FAMILY),
+        (["check", "parse.tbl"], "error: line 2: entry 2 >= order 2\n"),
+        (["check", "latin1.tbl"],
+         "error: latin1.tbl is not UTF-8 text: 'utf-8' codec can't decode byte "
+         "0xe9 in position 2: invalid continuation byte\n"),
+        (["check", "missing.tbl"],
+         "error: [Errno 2] No such file or directory: 'missing.tbl'\n"),
+        (["classify", "f5.tbl", "--unit", "x"],
+         "usage: ccmagma classify [-h] --unit UNIT path\n"
+         "ccmagma classify: error: argument --unit: invalid int value: 'x'\n"),
+    ]},
+    # error reports: exit 1 and a summary line that --json suppresses
+    **{" ".join(argv): (1, kind, summary, "") for argv, kind, summary in [
+        (["classify", "bad.tbl", "--unit", "0"], "not-a-ccm-magma",
+         "classify bad.tbl: input fails the axioms\n"),
+        (["extract-group", "bad.tbl", "--unit", "0"], "not-a-ccm-magma",
+         "extract-group bad.tbl: input fails the axioms\n"),
+        (["relation", "bad.tbl", "--subalgebra", "0", "--unit", "0"], "not-a-ccm-magma",
+         "relation bad.tbl: input fails the axioms\n"),
+        (["classify", "f5.tbl", "--unit", "1"], "unit-not-idempotent",
+         "classify f5.tbl: element 1 is not idempotent\n"),
+        (["relation", "z9.tbl", "--subalgebra", "0,1", "--unit", "0"], "not-closed",
+         "relation: [0, 1] is not closed; closure is [0, 1, 2, 3, 4, 5, 6, 7, 8]\n"),
+        (["relation", "z9.tbl", "--subalgebra", "0,3,6", "--unit", "1"], "bad-unit",
+         "relation: unit 1 is not in the subalgebra\n"),
+        (["relation", "z9.tbl", "--subalgebra", "0,1,2,3,4,5,6,7,8", "--unit", "1"],
+         "bad-unit", "relation: unit 1 is not idempotent\n"),
+    ]},
+    # successes, each command once
+    **{" ".join(argv): (status, None, summary, "") for argv, status, summary in [
+        (["check", "f5.tbl"], 0,
+         "check f5.tbl: order 5, ccm=True, associative=False, idempotents=[0]\n"),
+        (["check", "bad.tbl"], 1,
+         "check bad.tbl: order 4, ccm=False, associative=False, idempotents=[0, 2]\n"),
+        (["classify", "z9.tbl", "--unit", "0"], 0, "classify z9.tbl at unit 0: label I\n"),
+        (["generate", "--order", "5", "--seed", "2", "--out", "g.tbl"], 0,
+         "generate: wrote order-5 table to g.tbl\n"),
+        (["extract-group", "z9.tbl", "--unit", "0"], 0,
+         "extract-group at 0: invariant factors [9]\n"),
+        (["relation", "z9.tbl", "--subalgebra", "0,3,6", "--unit", "0"], 0,
+         "relation on z9.tbl with X=[0, 3, 6], e=0: congruence=True\n"),
+        (["catalog"], 0, "catalog: 28 families\n"),
+        (["catalog", "--family", "sum-R", "--samples", "4"], 0,
+         "catalog sum-R: label I, expected I, axioms ok=True\n"),
+    ]},
+    # the warning is not a summary: --json keeps it
+    "extract-group f5.tbl --unit 1": (
+        0, None, NOT_IDEMPOTENT_WARNING + "extract-group at 1: invariant factors [5]\n",
+        NOT_IDEMPOTENT_WARNING),
+}
+
+
+def _patch_everywhere(monkeypatch, module, name, value):
+    """Replace module.name in every ccmagma namespace that binds it."""
+    original = vars(module)[name]
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ccmagma") and \
+                vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, value)
+
+
+class _Unwritable(io.StringIO):
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+class TestStderr:
+    """The exact stderr and exit status of every outcome, plain and under
+    --json: the golden corpus pins stdout alone."""
+
+    @pytest.fixture
+    def tables(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f5.tbl").write_text(format_magma(F5A))
+        (tmp_path / "z9.tbl").write_text(format_magma(Z9A))
+        (tmp_path / "bad.tbl").write_text(NON_MEDIAL_4_TEXT)
+        (tmp_path / "parse.tbl").write_text("2\n0 2\n2 1\n")
+        (tmp_path / "latin1.tbl").write_bytes(b"# \xe9\xe9\n1\n0\n")
+
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["plain", "json"])
+    @pytest.mark.parametrize("case", list(STDERR_CASES))
+    def test_outcome(self, capsys, tables, case, json_flag):
+        status, kind, plain_err, json_err = STDERR_CASES[case]
+        code = main(["--json"] * json_flag + case.split())
+        out, err = capsys.readouterr()
+        assert (code, err) == (status, json_err if json_flag else plain_err)
+        if status == 2:
+            assert out == ""
+        else:
+            report = json.loads(out)
+            assert (report["schema"], report["command"]) == ("ccmagma.report/1",
+                                                             case.split()[0])
+            assert report.get("error", {}).get("kind") == kind
+
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["plain", "json"])
+    def test_not_a_group(self, capsys, monkeypatch, tables, json_flag):
+        from ccmagma import generation
+        _patch_everywhere(monkeypatch, generation, "extract_group", lambda m, e: None)
+        code = main(["--json"] * json_flag + ["extract-group", "z9.tbl", "--unit", "0"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "" if json_flag else "extract-group: verification failed\n")
+        assert json.loads(out)["error"] == {"kind": "not-a-group"}
+
+    @pytest.mark.parametrize("exc, line", [
+        (OSError(28, "No space left on device"), "error: [Errno 28] No space left on device\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["OSError", "MemoryError"])
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["plain", "json"])
+    def test_report_write_fails(self, capsys, monkeypatch, tables, exc, line, json_flag):
+        monkeypatch.setattr(sys, "stdout", _Unwritable(exc))
+        code = main(["--json"] * json_flag + ["check", "f5.tbl"])
+        assert (code, capsys.readouterr().err) == (2, line)
+
+
 class _Parsed(Exception):
     """Carries the Namespace that main's parser returned out of main, before
     a handler runs."""
