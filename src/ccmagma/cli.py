@@ -6,8 +6,13 @@ Exit status: 0 success, 1 property violation, 2 usage or parse error, a
 size whose arrays would pass MAX_CELLS, or a command that ran out of memory.
 `main(argv)` may be called in process any number of times: each call builds
 only the chosen subcommand's parser and keeps no state between calls.
-Only `core` and `generation` load with this module; `classify`, `relation`
-and `catalog` import the rest of the library when they run.
+`main` times each command and writes every report, summary and error line;
+a handler only computes, and returns (status, report fields, summary) or
+raises _UsageError or _ErrorReport.  Each command imports what it uses when
+it runs: check, generate and extract-group load `core` and `generation`,
+classify adds `structures`, relation loads `core` and `relations`, and
+catalog `catalog`, `core` and `structures`.  `--version`, `--help` and
+argparse errors load no numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +23,12 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .core import (FiniteMagma, ParseError, check_axioms, format_magma,
-                   idempotent_subalgebra, idempotents, parse_magma,
-                   subalgebra_closure)
-from .generation import (extract_group, generate_quasigroup,
-                         idempotent_parity_audit, invariant_factors)
+
+if TYPE_CHECKING:
+    from .core import FiniteMagma
 
 SCHEMA = "ccmagma.report/1"
 
@@ -39,59 +42,54 @@ EXIT_USAGE = 2
 MAX_CELLS = 1 << 27
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+class _UsageError(Exception):
+    """Exit 2 with one `error: <message>` line and no report."""
 
 
-def _report(command: str, **fields) -> dict:
-    out = {"schema": SCHEMA, "command": command}
-    out.update(fields)
-    return out
+class _ErrorReport(Exception):
+    """Exit 1 with a report; args are its fields and its summary line."""
 
 
-def _emit(report: dict, summary: list[str], args, started: float) -> None:
-    report["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if not (args.quiet or args.json):
-        for line in summary:
-            print(line, file=sys.stderr)
-
-
-def _over_cap(flag: str, value: int, cells: int) -> bool:
-    """Print the refusal of a size whose arrays would pass MAX_CELLS."""
-    if cells <= MAX_CELLS:
-        return False
-    print(f"error: {flag} {value} needs about {cells} array cells, "
-          f"over the cap of {MAX_CELLS}", file=sys.stderr)
-    return True
+def _check_cap(flag: str, value: int, cells: int) -> None:
+    """Refuse a size whose arrays would pass MAX_CELLS."""
+    if cells > MAX_CELLS:
+        raise _UsageError(f"{flag} {value} needs about {cells} array cells, "
+                          f"over the cap of {MAX_CELLS}")
 
 
 def _load(path: str) -> tuple[FiniteMagma, dict]:
+    from .core import ParseError, parse_magma
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        magma = parse_magma(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-    magma = parse_magma(text)
-    return magma, {"path": path, "sha256": _digest(data)}
+        raise _UsageError(f"{path} is not UTF-8 text: {exc}") from None
+    except ParseError as exc:
+        raise _UsageError(str(exc)) from None
+    return magma, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _load_ccm(args, started: float) -> tuple[Optional[FiniteMagma], dict]:
-    """Load args.path and check the axioms; when they fail, emit the
-    not-a-ccm-magma report and return None for the magma."""
+def _load_ccm(args) -> tuple[FiniteMagma, dict]:
+    """Load args.path; the not-a-ccm-magma report when it fails the axioms."""
+    from .core import check_axioms
     magma, source = _load(args.path)
     rep = check_axioms(magma)
-    if rep.is_ccm:
-        return magma, source
-    report = _report(args.command, input=source, order=magma.order,
-                     error={"kind": "not-a-ccm-magma", "axioms": rep.to_dict()})
-    _emit(report, [f"{args.command} {args.path}: input fails the axioms"],
-          args, started)
-    return None, source
+    if not rep.is_ccm:
+        raise _ErrorReport({"input": source, "order": magma.order,
+                            "error": {"kind": "not-a-ccm-magma", "axioms": rep.to_dict()}},
+                           f"{args.command} {args.path}: input fails the axioms")
+    return magma, source
 
 
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _unit(args, magma: FiniteMagma) -> int:
+    if not 0 <= args.unit < magma.order:
+        raise _UsageError(f"unit {args.unit} out of range")
+    return args.unit
+
+
+def _cmd_check(args):
+    from .core import check_axioms, idempotent_subalgebra
+    from .generation import idempotent_parity_audit
     magma, source = _load(args.path)
     rep = check_axioms(magma)
     body = rep.to_dict()
@@ -99,85 +97,60 @@ def _cmd_check(args) -> int:
     body["idempotent_parity_ok"] = idempotent_parity_audit(magma)
     if rep.is_ccm:
         body["idempotent_subalgebra"] = list(idempotent_subalgebra(magma))
-    report = _report("check", input=source, order=magma.order, results=body)
-    status = EXIT_OK if rep.is_ccm else EXIT_VIOLATION
-    _emit(report, [f"check {args.path}: order {magma.order}, "
-                   f"ccm={rep.is_ccm}, associative={rep.associative}, "
-                   f"idempotents={list(rep.idempotents)}"], args, started)
-    return status
+    return (EXIT_OK if rep.is_ccm else EXIT_VIOLATION,
+            {"input": source, "order": magma.order, "results": body},
+            f"check {args.path}: order {magma.order}, ccm={rep.is_ccm}, "
+            f"associative={rep.associative}, idempotents={list(rep.idempotents)}")
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
+    from .generation import extract_group, invariant_factors
     from .structures import NotIdempotentError, classify_finite
-    started = time.perf_counter()
-    magma, source = _load_ccm(args, started)
-    if magma is None:
-        return EXIT_VIOLATION
-    e = args.unit
-    if not 0 <= e < magma.order:
-        print(f"error: unit {e} out of range", file=sys.stderr)
-        return EXIT_USAGE
+    magma, source = _load_ccm(args)
+    e = _unit(args, magma)
     try:
         label = classify_finite(magma, e)
     except NotIdempotentError as exc:
-        report = _report("classify", input=source, order=magma.order,
-                         error={"kind": "unit-not-idempotent", "message": str(exc)})
-        _emit(report, [f"classify {args.path}: {exc}"], args, started)
-        return EXIT_VIOLATION
-    results = {
-        "unit": e,
-        "expansive": label.expansive,
-        "symmetric": label.symmetric,
-        "monoid": label.monoid,
-        "group": label.group,
-        "label": label.label,
-    }
+        raise _ErrorReport({"input": source, "order": magma.order,
+                            "error": {"kind": "unit-not-idempotent", "message": str(exc)}},
+                           f"classify {args.path}: {exc}")
+    results = {"unit": e, "expansive": label.expansive, "symmetric": label.symmetric,
+               "monoid": label.monoid, "group": label.group, "label": label.label}
     if label.group:
         # at an idempotent unit the extracted group is the internal monoid
         results["group_invariant_factors"] = invariant_factors(
             extract_group(magma, e))
-    report = _report("classify", input=source, order=magma.order, results=results)
-    _emit(report, [f"classify {args.path} at unit {e}: label {label.label}"],
-          args, started)
-    return EXIT_OK
+    return (EXIT_OK, {"input": source, "order": magma.order, "results": results},
+            f"classify {args.path} at unit {e}: label {label.label}")
 
 
-def _cmd_generate(args) -> int:
-    started = time.perf_counter()
+def _cmd_generate(args):
+    from .core import format_magma, idempotents
+    from .generation import generate_quasigroup
     if args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if _over_cap("--order", args.order, 4 * args.order ** 2):
-        return EXIT_USAGE
+        raise _UsageError("--order must be >= 1")
+    _check_cap("--order", args.order, 4 * args.order ** 2)
     magma, params = generate_quasigroup(args.order, args.seed)
     text = format_magma(magma)
     out = Path(args.out)
     out.write_text(text, encoding="utf-8")
     sidecar = out.with_name(out.name + ".toyoda.json")
-    sidecar_body = {"order": args.order, "seed": args.seed}
-    sidecar_body.update(params.to_json_dict())
+    sidecar_body = {"order": args.order, "seed": args.seed, **params.to_json_dict()}
     sidecar.write_text(json.dumps(sidecar_body, indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")
-    report = _report("generate", order=args.order, seed=args.seed,
-                     results={"table_path": str(out),
-                              "sidecar_path": str(sidecar),
-                              "sha256": _digest(text.encode("utf-8")),
-                              "invariant_factors": list(params.group.factors),
-                              "idempotent_count": len(idempotents(magma))})
-    _emit(report, [f"generate: wrote order-{args.order} table to {out}"],
-          args, started)
-    return EXIT_OK
+    results = {"table_path": str(out), "sidecar_path": str(sidecar),
+               "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+               "invariant_factors": list(params.group.factors),
+               "idempotent_count": len(idempotents(magma))}
+    return (EXIT_OK, {"order": args.order, "seed": args.seed, "results": results},
+            f"generate: wrote order-{args.order} table to {out}")
 
 
-def _cmd_extract_group(args) -> int:
-    started = time.perf_counter()
-    magma, source = _load_ccm(args, started)
-    if magma is None:
-        return EXIT_VIOLATION
-    e = args.unit
-    if not 0 <= e < magma.order:
-        print(f"error: unit {e} out of range", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_extract_group(args):
+    from .core import format_magma
+    from .generation import extract_group, invariant_factors
+    magma, source = _load_ccm(args)
+    e = _unit(args, magma)
     warning = None
     if magma.arr[e, e] != e:
         warning = (f"unit {e} is not idempotent: the extracted group is valid "
@@ -185,123 +158,94 @@ def _cmd_extract_group(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     star = extract_group(magma, e)
     if star is None:
-        report = _report("extract-group", input=source, order=magma.order,
-                         error={"kind": "not-a-group"})
-        _emit(report, ["extract-group: verification failed"], args, started)
-        return EXIT_VIOLATION
+        raise _ErrorReport({"input": source, "order": magma.order,
+                            "error": {"kind": "not-a-group"}},
+                           "extract-group: verification failed")
     factors = invariant_factors(star)
     text = format_magma(star)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     results = {"unit": e, "invariant_factors": factors, "group_table": text,
                "warning": warning}
-    report = _report("extract-group", input=source, order=magma.order,
-                     results=results)
-    _emit(report, [f"extract-group at {e}: invariant factors {factors}"],
-          args, started)
-    return EXIT_OK
+    return (EXIT_OK, {"input": source, "order": magma.order, "results": results},
+            f"extract-group at {e}: invariant factors {factors}")
 
 
-def _cmd_relation(args) -> int:
-    from .relations import format_relation, subalgebra_relation, transitivity_criterion
-    started = time.perf_counter()
-    magma, source = _load_ccm(args, started)
-    if magma is None:
-        return EXIT_VIOLATION
+def _cmd_relation(args):
+    from .relations import (_NotClosed, format_relation, subalgebra_relation,
+                            transitivity_criterion)
+    magma, source = _load_ccm(args)
     try:
         seed = sorted({int(p) for p in args.subalgebra.split(",") if p.strip()})
     except ValueError:
-        print(f"error: bad --subalgebra {args.subalgebra!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"bad --subalgebra {args.subalgebra!r}") from None
     outside = [x for x in seed if not 0 <= x < magma.order]
     if outside:
-        print(f"error: --subalgebra elements {outside} out of range "
-              f"0..{magma.order - 1}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--subalgebra elements {outside} out of range "
+                          f"0..{magma.order - 1}")
     e = args.unit
-    closed = subalgebra_closure(magma, seed)
-    if tuple(seed) != closed:
-        report = _report("relation", input=source, order=magma.order,
-                         error={"kind": "not-closed", "seed": seed,
-                                "closure_hint": list(closed)})
-        _emit(report, [f"relation: {seed} is not closed; closure is {list(closed)}"],
-              args, started)
-        return EXIT_VIOLATION
     try:
         rel = subalgebra_relation(magma, seed, e)
+    except _NotClosed as exc:
+        closure = list(exc.closure)
+        raise _ErrorReport({"input": source, "order": magma.order,
+                            "error": {"kind": "not-closed", "seed": seed,
+                                      "closure_hint": closure}},
+                           f"relation: {seed} is not closed; closure is {closure}")
     except ValueError as exc:
-        report = _report("relation", input=source, order=magma.order,
-                         error={"kind": "bad-unit", "message": str(exc)})
-        _emit(report, [f"relation: {exc}"], args, started)
-        return EXIT_VIOLATION
+        raise _ErrorReport({"input": source, "order": magma.order,
+                            "error": {"kind": "bad-unit", "message": str(exc)}},
+                           f"relation: {exc}")
     internal, _ = rel.is_internal()
     reflexive, _ = rel.is_reflexive()
     symmetric, _ = rel.is_symmetric()
     transitive, _ = rel.is_transitive()
     difunctional, _ = rel.is_difunctional()
     congruence = internal and reflexive and symmetric and transitive
-    results = {
-        "subalgebra": list(seed),
-        "unit": e,
-        "internal": internal,
-        "reflexive": reflexive,
-        "symmetric": symmetric,
-        "transitive": transitive,
-        "difunctional": difunctional,
-        "congruence": congruence,
-        "transitivity_criterion": transitivity_criterion(magma, seed, e),
-        "relation": format_relation(rel),
-    }
+    results = {"subalgebra": seed, "unit": e, "internal": internal,
+               "reflexive": reflexive, "symmetric": symmetric, "transitive": transitive,
+               "difunctional": difunctional, "congruence": congruence,
+               "transitivity_criterion": transitivity_criterion(magma, seed, e),
+               "relation": format_relation(rel)}
     if congruence:
         results["classes"] = len(rel.classes())
-    report = _report("relation", input=source, order=magma.order, results=results)
-    _emit(report, [f"relation on {args.path} with X={list(seed)}, e={e}: "
-                   f"congruence={congruence}"], args, started)
-    return EXIT_OK
+    return (EXIT_OK, {"input": source, "order": magma.order, "results": results},
+            f"relation on {args.path} with X={seed}, e={e}: "
+            f"congruence={congruence}")
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     from .catalog import (CATALOG, default_samples, half_has_no_inverse_check,
                           monoid_formula_check, sampled_axiom_check)
-    started = time.perf_counter()
     if args.family is None:
         listing = [{"id": fam.id, "formula": fam.formula,
                     "domain": str(fam.domain), "mode": fam.mode,
                     "expected_label": fam.expected_label}
                    for fam in CATALOG.values()]
-        report = _report("catalog", results={"families": listing})
-        _emit(report, [f"catalog: {len(listing)} families"], args, started)
-        return EXIT_OK
+        return (EXIT_OK, {"results": {"families": listing}},
+                f"catalog: {len(listing)} families")
     fam = CATALOG.get(args.family)
     if fam is None:
-        print(f"error: unknown family {args.family!r}; known ids:",
-              file=sys.stderr)
-        for known in CATALOG:
-            print(f"  {known}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("\n  ".join([f"unknown family {args.family!r}; known ids:",
+                                       *CATALOG]))
     # the grid k/samples, k = 0..samples, the closed ends and the extras
     s = args.samples + 3 + len(fam.extra_samples)
-    if _over_cap("--samples", args.samples, s ** 4):
-        return EXIT_USAGE
+    _check_cap("--samples", args.samples, s ** 4)
     sample_report = sampled_axiom_check(fam, default_samples(fam, args.samples))
     results = sample_report.to_dict()
-    results["formula"] = fam.formula
-    results["domain"] = str(fam.domain)
-    results["mode"] = fam.mode
+    results.update(formula=fam.formula, domain=str(fam.domain), mode=fam.mode)
     if sample_report.verdict is not None:
         results["classification_detail"] = sample_report.verdict.to_dict()
     if fam.id == "harmonic-(0,1]":
         results["star_formula_ok"] = monoid_formula_check()
         results["half_has_no_inverse"] = half_has_no_inverse_check()
-    report = _report("catalog", family=fam.id, results=results)
     ok = (sample_report.m1_ok and sample_report.m2_ok and sample_report.m3_ok
           and sample_report.closure_violations == 0
           and sample_report.matches_expected is not False)
-    label = results.get("classification")
-    _emit(report, [f"catalog {fam.id}: label {label}, "
-                   f"expected {fam.expected_label}, axioms ok={ok}"],
-          args, started)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return (EXIT_OK if ok else EXIT_VIOLATION,
+            {"family": fam.id, "results": results},
+            f"catalog {fam.id}: label {results.get('classification')}, "
+            f"expected {fam.expected_label}, axioms ok={ok}")
 
 
 def _positive_int(text: str) -> int:
@@ -375,12 +319,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:   # missing file, directory, unreadable file
+        try:
+            status, fields, summary = args.fn(args)
+        except _ErrorReport as exc:
+            status, (fields, summary) = EXIT_VIOLATION, exc.args
+        report = {"schema": SCHEMA, "command": args.command, **fields,
+                  "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3)}
+        print(json.dumps(report, indent=2, sort_keys=True))
+        if not (args.quiet or args.json):
+            print(summary, file=sys.stderr)
+        return status
+    except (_UsageError, OSError) as exc:   # OSError: missing file, directory, unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

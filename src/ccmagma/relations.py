@@ -188,11 +188,19 @@ def equalizer_relation(x: FiniteMagma, y: FiniteMagma,
     return BinaryRelation(x, y, member)
 
 
+class _NotClosed(ValueError):
+    """A subalgebra seed that is not closed; carries its closure."""
+
+    def __init__(self, xset: tuple[int, ...], closure: tuple[int, ...]):
+        super().__init__(f"{list(xset)} is not closed; its closure is {list(closure)}")
+        self.closure = closure
+
+
 def _check_subalgebra_inputs(m: FiniteMagma, xs: Iterable[int], e: int) -> tuple[int, ...]:
     xset = tuple(sorted(set(xs)))
     closed = subalgebra_closure(m, xset)
     if closed != xset:
-        raise ValueError(f"{list(xset)} is not closed; its closure is {list(closed)}")
+        raise _NotClosed(xset, closed)
     if e not in xset:
         raise ValueError(f"unit {e} is not in the subalgebra")
     if m.arr[e, e] != e:
