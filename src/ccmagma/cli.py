@@ -172,8 +172,8 @@ def _cmd_extract_group(args):
 
 
 def _cmd_relation(args):
-    from .relations import (_NotClosed, format_relation, subalgebra_relation,
-                            transitivity_criterion)
+    from .relations import (_NotClosed, _check_subalgebra_inputs, _induced,
+                            _transitivity_criterion, format_relation)
     magma, source = _load_ccm(args)
     try:
         seed = sorted({int(p) for p in args.subalgebra.split(",") if p.strip()})
@@ -185,7 +185,7 @@ def _cmd_relation(args):
                           f"0..{magma.order - 1}")
     e = args.unit
     try:
-        rel = subalgebra_relation(magma, seed, e)
+        xset = _check_subalgebra_inputs(magma, seed, e)
     except _NotClosed as exc:
         closure = list(exc.closure)
         raise _ErrorReport({"input": source, "order": magma.order,
@@ -196,6 +196,7 @@ def _cmd_relation(args):
         raise _ErrorReport({"input": source, "order": magma.order,
                             "error": {"kind": "bad-unit", "message": str(exc)}},
                            f"relation: {exc}")
+    rel = _induced(magma, xset, e)
     internal, _ = rel.is_internal()
     reflexive, _ = rel.is_reflexive()
     symmetric, _ = rel.is_symmetric()
@@ -205,7 +206,7 @@ def _cmd_relation(args):
     results = {"subalgebra": seed, "unit": e, "internal": internal,
                "reflexive": reflexive, "symmetric": symmetric, "transitive": transitive,
                "difunctional": difunctional, "congruence": congruence,
-               "transitivity_criterion": transitivity_criterion(magma, seed, e),
+               "transitivity_criterion": _transitivity_criterion(magma, xset, e),
                "relation": format_relation(rel)}
     if congruence:
         results["classes"] = len(rel.classes())

@@ -63,11 +63,18 @@ class AbelianGroupSpec:
             place //= f
             yield place, f, k // place % f
 
+    def _sums(self, xs, ys) -> np.ndarray:
+        """[i, j] = xs[i] + ys[j], built in place in one scratch array."""
+        out = np.zeros((len(xs), len(ys)), dtype=np.intp)
+        cell = np.empty_like(out)
+        for place, f, c in self._coordinates():
+            np.remainder(np.add.outer(c[xs], c[ys], out=cell), f, out=cell)
+            out += np.multiply(cell, place, out=cell)
+        return out
+
     @cached_property
     def addition_table(self) -> FiniteMagma:
-        return FiniteMagma(sum(((c[:, None] + c) % f * place
-                                for place, f, c in self._coordinates()),
-                               np.zeros((self.size, self.size), dtype=np.intp)))
+        return FiniteMagma(self._sums(range(self.size), range(self.size)))
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,13 @@ class ToyodaParams:
 
 def toyoda_table(params: ToyodaParams) -> FiniteMagma:
     """Rebuild the quasigroup table from its parameters."""
-    add = params.group.addition_table.arr
-    phi = np.array(params.automorphism, dtype=np.intp)
-    sigma = np.array(params.relabeling, dtype=np.intp)
+    group, sigma = params.group, np.array(params.relabeling, dtype=np.intp)
     inv = np.argsort(sigma)
-    # x op y = sigma(phi(inv(x) + inv(y)) + c)
-    return FiniteMagma(sigma[add[phi[add[np.ix_(inv, inv)]], params.translation % len(add)]])
+    # x op y = sigma(phi(inv(x) + inv(y)) + c), one lookup per cell in place
+    table = group._sums(inv, inv)
+    phi = np.array(params.automorphism, dtype=np.intp)
+    relabel = sigma[group._sums(phi, [params.translation % group.size])[:, 0]]
+    return FiniteMagma(np.take(relabel, table, out=table, mode="clip"))
 
 
 def _prime_factorization(n: int) -> dict[int, int]:

@@ -2,7 +2,8 @@
 equalizer relations of homomorphism pairs, relations induced by a
 subalgebra, and the pullback construction for split-epimorphism pairs.
 
-Relations are read-only bool arrays; every predicate is exhaustive.
+Relations are read-only bool arrays; every predicate is exhaustive, save
+that is_internal scans only when its coset certificate proves nothing.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ class BinaryRelation:
 
     def is_internal(self) -> tuple[bool, Optional[tuple]]:
         """Whether the member set is a subalgebra of the product; the witness
-        is a pair of related pairs whose pointwise product is unrelated."""
+        is a pair of related pairs whose pointwise product is unrelated.
+        Closure _coset_certificate proves needs no scan; a scan finds the smallest witness."""
+        if _coset_certificate(self):
+            return True, None
         a, b = np.nonzero(self.mat)
         tl, tr = self.left.arr, self.right.arr
         # slice k: [k2] = pair k times pair k2 is unrelated
@@ -115,8 +119,37 @@ class BinaryRelation:
 
     def classes(self) -> list[tuple[int, ...]]:
         """Equivalence classes; only meaningful once is_congruence holds."""
-        _, first = np.unique(self.mat, axis=0, return_index=True)
+        packed = np.packbits(self.mat, axis=1)   # each row one void scalar
+        _, first = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True)
         return [tuple(np.flatnonzero(self.mat[a]).tolist()) for a in np.sort(first)]
+
+
+def _coset_certificate(r: BinaryRelation) -> bool:
+    """Whether r, nonempty over two certified tables, is proved closed.
+
+    There x o y = alpha(x) + alpha(y) + c over + = star0, with alpha(x) =
+    (x o 0) - (0 o 0) (Toyoda, Bruck), so R is closed iff, r0 its first
+    related pair, K = R - r0 is a subgroup, alpha(K) lies in K and r0 o r0
+    is in R.  S grows from (0, 0) by greedy picks p from K - S, each folded
+    in by doubling (S += S + p, p += p) while S stays inside K."""
+    sl, sr, r0 = r.left._star0, r.right._star0, _first(r.mat)
+    if sl is None or sr is None or r0 is None:
+        return False
+    (tl, tr), (a0, b0) = (r.left.arr, r.right.arr), r0
+    k = r.mat[np.ix_(sl[:, a0], sr[:, b0])]   # [x, y]: (x + a0, y + b0) in R
+    alpha = [_column_inverse(s, t[0, 0])[t[:, 0]] for s, t in ((sl, tl), (sr, tr))]
+    if not (r.mat[tl[a0, a0], tr[b0, b0]] and k[np.ix_(*alpha)][k].all()):
+        return False
+    grown = np.arange(k.size).reshape(k.shape) == 0   # S = {(0, 0)}
+    for x, y in iter(lambda: _first(k & ~grown), None):
+        while not grown[x, y]:
+            gx, gy = np.nonzero(grown)
+            gx, gy = sl[gx, x], sr[gy, y]
+            if not k[gx, gy].all():
+                return False
+            grown[gx, gy] = True
+            x, y = sl[x, x], sr[y, y]
+    return True
 
 
 def relation_from_pairs(left: FiniteMagma, right: FiniteMagma,
@@ -216,9 +249,13 @@ def _witness_grid(m: FiniteMagma, xset: tuple[int, ...], e: int) -> np.ndarray:
     return grid
 
 
+def _induced(m: FiniteMagma, xset: tuple[int, ...], e: int) -> BinaryRelation:
+    return BinaryRelation(m, m, _witness_grid(m, xset, e) >= 0)
+
+
 def subalgebra_relation(m: FiniteMagma, xs: Iterable[int], e: int) -> BinaryRelation:
     """aRb iff a op e = x op b for some x in the subalgebra."""
-    return BinaryRelation(m, m, _witness_grid(m, _check_subalgebra_inputs(m, xs, e), e) >= 0)
+    return _induced(m, _check_subalgebra_inputs(m, xs, e), e)
 
 
 def subalgebra_witnesses(m: FiniteMagma, xs: Iterable[int],
@@ -235,7 +272,11 @@ def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
 
     Cross-checked against direct transitivity of the induced relation.
     """
-    xset = _check_subalgebra_inputs(m, xs, e)
+    return _transitivity_criterion(m, _check_subalgebra_inputs(m, xs, e), e)
+
+
+def _transitivity_criterion(m: FiniteMagma, xset: tuple[int, ...], e: int) -> bool:
+    # on a checked xset; builds its own relation to cross-check against
     xa, t = np.array(xset), m.arr
     # d[i, c] = the b with b op e = xset[i] op c, or -1
     d = _column_inverse(t, e)[t[xa]]
@@ -244,7 +285,7 @@ def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
     # [x, y]: some b solves b op e = y op c (some c) with x op b solvable
     chained = (d >= 0).astype(np.intp) @ reach.T.astype(np.intp) > 0
     holds = not (chained & ~np.isin(d[:, xa], xa)).any()
-    direct, _ = BinaryRelation(m, m, _witness_grid(m, xset, e) >= 0).is_transitive()
+    direct, _ = _induced(m, xset, e).is_transitive()
     if holds != direct:
         raise AssertionError(
             f"criterion ({holds}) disagrees with direct transitivity ({direct})")

@@ -232,6 +232,34 @@ class TestGroupProofsPerCommand:
         assert counts == {"check": 1, "classify": 1, "extract-group": 1, "relation": 1}
 
 
+class TestClosuresPerCommand:
+    @pytest.mark.parametrize("subalgebra, unit, status, kind", [
+        ("0,3,6", "0", 0, None),
+        ("0,3", "0", 1, "not-closed"),
+        ("0,3,6", "1", 1, "bad-unit"),
+        ("1,4,7", "1", 1, "bad-unit"),
+    ])
+    def test_one_closure_per_relation(self, capsys, monkeypatch, z9_file,
+                                      subalgebra, unit, status, kind):
+        """relation checks its subalgebra once and hands the checked set to
+        the relation and to the transitivity criterion."""
+        from ccmagma import relations
+        calls = []
+        closure = core.subalgebra_closure
+
+        def counted(m, seed):
+            calls.append(tuple(seed))
+            return closure(m, seed)
+
+        monkeypatch.setattr(core, "subalgebra_closure", counted)
+        # a module that imported the name holds its own binding
+        monkeypatch.setattr(relations, "subalgebra_closure", counted)
+        code, report, _ = run(capsys, "relation", z9_file, "--subalgebra", subalgebra,
+                              "--unit", unit)
+        assert (code, report.get("error", {}).get("kind")) == (status, kind)
+        assert len(calls) == 1, calls
+
+
 class TestRelation:
     def test_mod3_congruence(self, capsys, z9_file):
         code, report, _ = run(capsys, "relation", z9_file,
@@ -471,6 +499,25 @@ class TestImportGraph:
                       "except AttributeError as exc:\n"
                       "    print(json.dumps(str(exc)))") == \
             "module 'ccmagma' has no attribute 'no_such_name'"
+
+
+class TestGeneratePeak:
+    def test_peak_stays_near_three_tables(self, tmp_path, monkeypatch, capsys):
+        """generate at n = 512 holds at most 3.25 n^2 cells at once (8 bytes
+        each): the table, then format_magma's object array and row lists;
+        the table is built in place and no addition table stays alive."""
+        n = 512
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--order", "5", "--out", "warm.tbl"]) == 0
+        tracemalloc.start()
+        try:
+            status = main(["generate", "--order", str(n), "--out", "g.tbl"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert status == 0
+        assert peak <= 3.25 * 8 * n * n, peak / (8 * n * n)
 
 
 class TestSizeCaps:

@@ -1,13 +1,16 @@
+import math
 import random
 from itertools import product
 
 import numpy as np
 import pytest
 
-from ccmagma import fixtures
+from ccmagma import fixtures, relations
 from ccmagma.core import (FiniteMagma, Homomorphism, ParseError, constant_hom,
-                          identity_hom, is_homomorphism, pair_hom, product_magma)
-from ccmagma.generation import generate_quasigroup
+                          identity_hom, idempotents, is_homomorphism, pair_hom,
+                          product_magma, subalgebra_closure)
+from ccmagma.generation import (AbelianGroupSpec, ToyodaParams, generate_quasigroup,
+                                toyoda_table)
 from ccmagma.relations import (BinaryRelation, KiteInput, build_pullback,
                                equalizer_relation, format_relation,
                                full_relation, identity_relation, kite_theta,
@@ -17,6 +20,7 @@ from ccmagma.relations import (BinaryRelation, KiteInput, build_pullback,
 from ccmagma.structures import internal_monoid, negate
 
 from conftest import A2, A3, F5A, Z9A
+from test_core import _near_miss
 from _brute import (brute_classes, brute_difunctional,
                     brute_difunctional_witness, brute_format_relation,
                     brute_internal, brute_pairs, brute_reflexive,
@@ -142,6 +146,123 @@ class TestTupleOracle:
             seen["empty"] += not pairs
             seen["full"] += len(pairs) == left.order * right.order
         assert min(seen.values()) >= 30, seen
+
+
+def _translation_graphs(rng):
+    """Graphs {(x, x + s)} between two toyoda_tables over one group, each
+    side with its own multipliers, translation and relabeling: K = R - r0
+    is the diagonal, a subgroup, so only alpha(K) in K (equal multipliers)
+    and r0 o r0 in R decide closure."""
+    for factors in [(5,), (7,), (2, 4), (3, 3), (9,), (2, 6), (12,), (16,), (2, 8)]:
+        group = AbelianGroupSpec(factors)
+        n, units = group.size, [[u for u in range(1, f) if math.gcd(u, f) == 1]
+                                for f in factors]
+        for _ in range(8):
+            sides = [ToyodaParams(group, tuple(map(rng.choice, units)), rng.randrange(n),
+                                  tuple(rng.sample(range(n), n))) for _ in "lr"]
+            left, right = map(toyoda_table, sides)
+            for s in range(n):
+                member = np.zeros((n, n), dtype=bool)
+                for k in range(n):
+                    member[sides[0].relabeling[k], sides[1].relabeling[group.add(k, s)]] = True
+                yield left, right, member
+
+
+def _certificate_inputs(rng):
+    """(kind, left, right, member) for the coset certificate's oracle test
+    over generated tables, the fixtures and _near_miss tables (mostly
+    uncertified), square and rectangular."""
+    near = [FiniteMagma(_near_miss(b, m, rng)) for b, m in
+            [((5,), 2), ((2, 4), 2), ((3, 3), 2), ((7,), 2), ((2, 2, 2), 2), ((3,), 3)]
+            for _ in range(2)]
+    pool = [A2, A3, F5A, Z9A, *near,
+            *(generate_quasigroup(n, s)[0] for n in range(2, 13) for s in (0, 1))]
+
+    def sub(m, *seed):
+        return subalgebra_closure(m, {x % m.order for x in seed})
+
+    def grid(left, right, *blocks):
+        member = np.zeros((left.order, right.order), dtype=bool)
+        for xs, ys in blocks:
+            member[np.ix_(xs, ys)] = True
+        return member
+
+    for left, right, member in _seeded_relations(600, 17):
+        yield "random", left, right, np.array(member, dtype=bool)
+    for left, right, member in _translation_graphs(rng):
+        yield "graph", left, right, member
+    for i in range(1400):
+        left = rng.choice(pool)
+        right = left if i % 2 else rng.choice(pool)
+        u, v, w, z = (rng.randrange(64) for _ in range(4))
+        kind = rng.choice(("product", "union", "subalgebra"))
+        if kind == "subalgebra":
+            units = idempotents(left)
+            if not units:
+                continue
+            e = rng.choice(units)
+            member = subalgebra_relation(left, sub(left, e, u), e).mat
+            if i % 4 == 0:   # two at one unit: a subgroup only when nested
+                member = member | subalgebra_relation(left, sub(left, e, v), e).mat
+                kind = "union"
+            right = left
+        elif kind == "product":
+            member = grid(left, right, (sub(left, u), sub(right, v)))
+        else:   # both blocks hold (0, 0), the first related pair
+            member = grid(left, right, (sub(left, 0, u), sub(right, 0, v)),
+                          (sub(left, 0, w), sub(right, 0, z)))
+        yield kind, left, right, member
+        flipped = member.copy()
+        flipped[rng.randrange(left.order), rng.randrange(right.order)] ^= True
+        yield "flip", left, right, flipped
+
+
+class TestCosetCertificate:
+    def test_matches_the_scan_oracle(self):
+        """is_internal, certificate or scan, against the pair-by-pair loop
+        of tests/_brute.py: each kind has internal and non-internal
+        relations, and the certificate decides some of each but the
+        random ones, most of which no certificate could prove."""
+        seen = {}
+        for kind, left, right, member in _certificate_inputs(random.Random(25)):
+            r = BinaryRelation(left, right, member)
+            got = r.is_internal()
+            assert got == brute_internal(left.table, right.table, r.member), (kind, member)
+            certified = left._star0 is not None and right._star0 is not None
+            key = (kind, got[0], certified, left != right)
+            seen[key] = seen.get(key, 0) + 1
+        assert sum(seen.values()) >= 2000
+        kinds = {k[0] for k in seen}
+        assert kinds == {"random", "graph", "product", "union", "subalgebra", "flip"}
+        for kind in kinds - {"subalgebra", "product"}:
+            assert seen.get((kind, False, True, True), 0) >= 5, (kind, seen)
+        for kind in kinds:
+            assert sum(c for k, c in seen.items() if k[:2] == (kind, True)) >= 5, (kind, seen)
+        # rectangular relations and uncertified (near-miss) sides
+        assert sum(c for k, c in seen.items() if k[3]) >= 500, seen
+        assert sum(c for k, c in seen.items() if not k[2]) >= 100, seen
+
+    def test_subalgebra_relations_skip_the_scan(self, monkeypatch):
+        """Every subalgebra relation of generated tables at orders 2-64,
+        through each idempotent, is proved internal by the certificate
+        alone: the sliced scan never runs."""
+        calls = []
+        scan = relations._first_sliced
+
+        def counted(count, slice_at):
+            calls.append(count)
+            return scan(count, slice_at)
+
+        monkeypatch.setattr(relations, "_first_sliced", counted)
+        decided = 0
+        for n in range(2, 65):
+            for seed in range(3):
+                m = generate_quasigroup(n, seed)[0]
+                for e in idempotents(m)[:3]:
+                    for xs in {subalgebra_closure(m, {e, y}) for y in m.elements()}:
+                        assert subalgebra_relation(m, xs, e).is_internal() == (True, None)
+                        decided += 1
+        assert calls == [] and decided >= 300, (calls, decided)
 
 
 class TestConstructor:
