@@ -256,9 +256,10 @@ def _close(p: np.ndarray, closed: np.ndarray, frontier: np.ndarray) -> None:
     # nothing new is reached; pairs of older elements are already closed
     while frontier.size:
         inside = np.flatnonzero(closed)
-        reached = np.concatenate((p[np.ix_(frontier, inside)].ravel(),
-                                  p[np.ix_(inside, frontier)].ravel()))
-        frontier = np.unique(reached[~closed[reached]])
+        reached = np.zeros(len(p), dtype=bool)
+        reached[p[frontier[:, None], inside]] = True
+        reached[p[inside[:, None], frontier]] = True
+        frontier = np.flatnonzero(reached & ~closed)
         closed[frontier] = True
 
 
@@ -312,10 +313,10 @@ def _is_translate(m: FiniteMagma, e: int, star: np.ndarray) -> bool:
 def check_axioms(m: FiniteMagma) -> AxiomReport:
     """Evaluate M1, M2, M3 and associativity, all four always.
 
-    M1 is one comparison with the transpose, O(n^2), and M2 a permutation
-    test of every row and column, O(n^2 log n).  On a commutative Latin
-    square, M3 is decided by the cached Toyoda-Bruck certificate m._star0
-    in O(n^2 log n), which also says whether the table is associative.
+    The cached Toyoda-Bruck certificate m._star0, O(n^2 log n), proves M1,
+    M2 and M3 on a commutative Latin square and says whether it is
+    associative; else M1 is one comparison with the transpose, O(n^2), and
+    M2 a permutation test of every row and column, O(n^2 log n).
     The sliced scans, O(n^2) memory each, run only to find the
     lexicographically smallest counterexample, or to decide M3 when M1 or
     M2 fails or the certificate does.
@@ -324,8 +325,8 @@ def check_axioms(m: FiniteMagma) -> AxiomReport:
     n = m.order
     idx = np.arange(n)
 
-    comm_ce = _first(t != t.T)
     star = m._star0
+    comm_ce = None if star is not None else _first(t != t.T)
 
     # cancellation, both sides: every column and every row a permutation,
     # as on every certified table; for the counterexample, scanning right

@@ -235,23 +235,25 @@ def element_orders(star: FiniteMagma) -> tuple[int, ...]:
 
 
 def invariant_factors(star: FiniteMagma) -> list[int]:
-    """Invariant-factor decomposition from the multiset of element orders.
+    """Invariant-factor decomposition from prime-power torsion counts.
 
-    Per prime p, counting elements of order dividing p^k recovers the
-    partition of the p-primary component; recombining per slot gives the
-    d_1 | d_2 | ... list that determines the group up to isomorphism.
+    Per prime p, the count c_k = #{x : x^(p^k) = e}, with x -> x^(p^k)
+    taken over the whole group by repeated squaring on the table (O(n log n)
+    table reads in all), recovers the partition of the p-primary component;
+    recombining per slot gives the d_1 | d_2 | ... list that determines the
+    group up to isomorphism.
     """
-    orders = element_orders(star)
-    n = star.order
-    if n == 1:
-        return []
+    e = None if star._star0 is None else group_identity(star)
+    if e is None:
+        raise ValueError("input is not an abelian group table")
     primary: dict[int, list[int]] = {}
-    for p in sorted(_prime_factorization(n)):
+    for p in sorted(_prime_factorization(star.order)):
         exps_of_parts = []
         prev_s = 0
-        k = 1
+        acc = np.arange(star.order)
         while True:
-            c = sum(1 for o in orders if p ** k % o == 0)
+            acc = _powers(star.arr, acc, p, e)     # acc[x] = x^(p^k)
+            c = int(np.count_nonzero(acc == e))
             s = 0
             while c % p == 0:
                 c //= p
@@ -261,13 +263,20 @@ def invariant_factors(star: FiniteMagma) -> list[int]:
                 break
             exps_of_parts.append(m_k)
             prev_s = s
-            k += 1
-        depth = len(exps_of_parts)
-        parts = [sum(1 for k in range(depth) if exps_of_parts[k] >= i)
-                 for i in range(1, exps_of_parts[0] + 1)] if depth else []
-        if parts:
-            primary[p] = parts
+        # p divides the order, so the p-primary component is nontrivial
+        primary[p] = [sum(1 for m in exps_of_parts if m >= i)
+                      for i in range(1, exps_of_parts[0] + 1)]
     return list(_invariant_factors_from_primary(primary))
+
+
+def _powers(t: np.ndarray, xs: np.ndarray, k: int, e: int) -> np.ndarray:
+    """x^k for each x in xs on the group table t with identity e: O(log k) gathers."""
+    out = np.full_like(xs, e)
+    while k:
+        if k & 1:
+            out = t[out, xs]
+        xs, k = t[xs, xs], k >> 1
+    return out
 
 
 def groups_isomorphic(g1: FiniteMagma, g2: FiniteMagma) -> bool:

@@ -117,6 +117,28 @@ def brute_classes(member):
     return out
 
 
+def brute_closure(table, seed):
+    """The smallest subset holding seed and closed under table, sorted: add
+    every product of two members until a round adds nothing."""
+    closed = set(seed)
+    while True:
+        grown = closed | {table[a][b] for a in closed for b in closed}
+        if grown == closed:
+            return tuple(sorted(closed))
+        closed = grown
+
+
+def brute_generators(table):
+    """The greedy generating set: in element order, each element outside the
+    closure of the earlier picks is picked."""
+    gens, closed = [], ()
+    for x in range(len(table)):
+        if x not in closed:
+            gens.append(x)
+            closed = brute_closure(table, gens)
+    return gens
+
+
 def brute_star(table, e):
     """Reconstruct the star table by looking up the solution of
     star(x, y) op e = x op y, pair by pair, among the solutions of

@@ -21,8 +21,9 @@ from ccmagma.relations import full_relation, subalgebra_relation
 from ccmagma.structures import internal_monoid, midpoint_distributivity_check
 
 from conftest import A2, A3, F5A, Z9A, FINITE_FIXTURES
-from _brute import (brute_axioms, brute_groups_isomorphic, brute_monoid_invariants,
-                    brute_parse, brute_star, commutative_latin_squares)
+from _brute import (brute_axioms, brute_closure, brute_generators,
+                    brute_groups_isomorphic, brute_monoid_invariants, brute_parse,
+                    brute_star, commutative_latin_squares)
 
 A2_TEXT = "3\n0 2 1\n2 1 0\n1 0 2"
 
@@ -676,6 +677,35 @@ class TestSubalgebraClosure:
         for seed in ({1}, {2}, {0, 1}, {5}):
             closed = subalgebra_closure(Z9A, seed)
             assert subalgebra_closure(Z9A, closed) == closed
+
+
+class TestClosureOracle:
+    """subalgebra_closure and the greedy _generators, both built on
+    core._close, against the pure-Python fixed point in tests/_brute.py."""
+
+    def test_random_tables(self):
+        rng = random.Random(20)
+        for n in range(1, 10):
+            for _ in range(6):
+                table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                m = FiniteMagma(table)
+                assert _generators(m.arr) == brute_generators(table)
+                for x in range(n):
+                    assert subalgebra_closure(m, {x}) == brute_closure(table, {x})
+                    y = rng.randrange(n)
+                    assert subalgebra_closure(m, {x, y}) == brute_closure(table, {x, y})
+
+    def test_generated_tables(self):
+        for n in range(1, 41):
+            m, _ = generate_quasigroup(n, n)
+            table = m.table
+            assert _generators(m.arr) == brute_generators(table)
+            star = m._star0
+            assert _generators(star) == brute_generators(star.tolist())
+            e = (idempotents(m) or (0,))[0]
+            for y in range(n):
+                assert subalgebra_closure(m, {y}) == brute_closure(table, {y})
+                assert subalgebra_closure(m, {e, y}) == brute_closure(table, {e, y})
 
 
 class TestHomomorphisms:

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmagma import fixtures
+from ccmagma import fixtures, generation
 from ccmagma.core import FiniteMagma, check_axioms, format_magma, idempotents
 from ccmagma.generation import (AbelianGroupSpec, ToyodaParams, element_orders,
                                 extract_group, generate_quasigroup,
@@ -212,6 +212,29 @@ class TestInvariantFactors:
         n = len(table)
         rows = [e for e in range(n) if table[e] == list(range(n))]
         assert group_identity(FiniteMagma(table)) == (rows[0] if rows else None)
+
+    def test_every_group_type_up_to_order_128(self):
+        for n in range(1, 129):
+            for factors in _factor_chains(n):
+                table = AbelianGroupSpec(factors).addition_table
+                assert invariant_factors(table) == list(factors), factors
+
+    @pytest.mark.parametrize("order", [128, 192, 256])
+    def test_extracted_groups_match_the_sidecar(self, order):
+        for seed in range(3):
+            m, params = generate_quasigroup(order, seed)
+            assert invariant_factors(extract_group(m, 0)) == list(params.group.factors)
+
+    def test_no_power_iteration(self, monkeypatch):
+        """The factors come from prime-power torsion counts, never from the
+        per-element orders."""
+        def refuse(star):
+            raise AssertionError("element_orders called")
+
+        monkeypatch.setattr(generation, "element_orders", refuse)
+        m, params = generate_quasigroup(96, 1)
+        assert invariant_factors(extract_group(m, 0)) == list(params.group.factors)
+        assert invariant_factors(fixtures.cyclic_add(12)) == [12]
 
     def test_agrees_with_brute_isomorphism_search(self):
         specs = [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4),
