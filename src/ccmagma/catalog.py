@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, filterfalse
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -92,7 +93,8 @@ class Interval:
                 continue
             n, d = end
             if rational:
-                a, b, err = v.num * d, v.den * n, 0
+                num, den, n, d = _promoted(v.num, v.den, n, d)
+                a, b, err = num * d, den * n, 0
             else:
                 a, (b, err) = v, _nearest_float(n, d)
             strict = side * err < 0 or (err == 0 and is_open)
@@ -140,6 +142,28 @@ def _parts(x):
     raise TypeError(f"no exact rational: {x!r}")
 
 
+_SMALL = 1 << 31
+
+
+def _promoted(*parts) -> tuple:
+    """parts, int64 arrays and ints, as they are when each is below 2**31
+    in magnitude, so that a d + n b over four of them cannot wrap in int64;
+    else with every array an object array of Python ints.  Arrays are
+    bounded by min and max, as abs(-2**63) wraps."""
+    if all(-_SMALL < p < _SMALL if isinstance(p, int) else (p.dtype != object
+           and -_SMALL < p.min(initial=0) and p.max(initial=0) < _SMALL) for p in parts):
+        return parts
+    return tuple(p.astype(object) if isinstance(p, np.ndarray) else p for p in parts)
+
+
+def _ints(xs) -> np.ndarray:
+    """The Python ints xs as an int64 array, or as objects if one overflows."""
+    try:
+        return np.array(xs, dtype=np.int64)
+    except OverflowError:
+        return np.array(xs, dtype=object)
+
+
 def _quotient(num, den, strict: bool = True) -> _Rationals:
     if strict and not den.all():
         raise ZeroDivisionError("division by zero")
@@ -149,42 +173,31 @@ def _quotient(num, den, strict: bool = True) -> _Rationals:
     return _Rationals(num, den)
 
 
+def _arithmetic(parts, make=None):
+    """The operator giving make(*parts(a, b, n, d)) for self = a / b and
+    other = n / d, by default a _Rationals, on _promoted parts."""
+    def op(self, other):
+        return (make or _Rationals)(*parts(*_promoted(self.num, self.den, *_parts(other))))
+    return op
+
+
 class _Rationals:
-    """num / den elementwise, as numpy object arrays of Python ints with
-    den > 0, so no fixed-width integer can overflow.  + - * / take another
-    such array or a Fraction or int; results are reduced only by reduced()."""
+    """num / den elementwise, as numpy arrays of ints with den > 0: int64
+    arrays while each operation's parts are below 2**31 in magnitude, and
+    otherwise promoted to object arrays of Python ints (_promoted), so no
+    integer can overflow.  + - * / take another such array or a Fraction or
+    int; results are reduced only by reduced()."""
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         self.num, self.den = num, den
 
-    def __add__(self, other):
-        n, d = _parts(other)
-        return _Rationals(self.num * d + n * self.den, self.den * d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        n, d = _parts(other)
-        return _Rationals(self.num * d - n * self.den, self.den * d)
-
-    def __rsub__(self, other):
-        n, d = _parts(other)
-        return _Rationals(n * self.den - self.num * d, self.den * d)
-
-    def __mul__(self, other):
-        n, d = _parts(other)
-        return _Rationals(self.num * n, self.den * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        n, d = _parts(other)
-        return _quotient(self.num * d, self.den * n)
-
-    def __rtruediv__(self, other):
-        n, d = _parts(other)
-        return _quotient(n * self.den, d * self.num)
+    __add__ = __radd__ = _arithmetic(lambda a, b, n, d: (a * d + n * b, b * d))
+    __sub__ = _arithmetic(lambda a, b, n, d: (a * d - n * b, b * d))
+    __rsub__ = _arithmetic(lambda a, b, n, d: (n * b - a * d, b * d))
+    __mul__ = __rmul__ = _arithmetic(lambda a, b, n, d: (a * n, b * d))
+    __truediv__ = _arithmetic(lambda a, b, n, d: (a * d, b * n), _quotient)
+    __rtruediv__ = _arithmetic(lambda a, b, n, d: (n * b, d * a), _quotient)
 
     def __len__(self):
         return len(self.num)
@@ -208,15 +221,14 @@ def _ratio(num, den):
     """A solver's num / den: None where den == 0, and on rational arrays a
     zero denominator there, which _solve_each reads as no solution."""
     if isinstance(den, _Rationals):
-        n, d = _parts(num)
-        return _quotient(n * den.den, d * den.num, strict=False)
+        n, d, p, q = _promoted(*_parts(num), den.num, den.den)
+        return _quotient(n * q, d * p, strict=False)
     return None if den == 0 else num / den
 
 
 def _exact(xs) -> _Rationals:
     """The rational array of a sequence of ints and Fractions."""
-    return _Rationals(np.array([x.numerator for x in xs], dtype=object),
-                      np.array([x.denominator for x in xs], dtype=object))
+    return _Rationals(_ints([x.numerator for x in xs]), _ints([x.denominator for x in xs]))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +723,8 @@ def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
     id of pts[i] op pts[j] in values, or -1 where it escapes the carrier.
     Equal products share one id, numbered in row-major order of first
     appearance; in float mode -0.0 and 0.0 stay apart.  values is a reduced
-    _Rationals in exact mode, a float64 array in float mode."""
+    _Rationals in exact mode, on int64 arrays where its parts fit, and a
+    float64 array in float mode."""
     pts = []
     for x in samples:
         pts.append(fam._coerce(x))
@@ -721,10 +734,10 @@ def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
     interned: dict = {}
     ids, floats = _products(fam, _operands(fam, pts), np.arange(s * s), s, interned)
     if floats is None:
-        ends = np.array(list(interned), dtype=object).reshape(-1, 2)
+        ends = _ints(list(interned)).reshape(-1, 2)
         return pts, ids.reshape(s, s), _Rationals(ends[:, 0], ends[:, 1])
     live = ids >= 0
-    ids[live] = [interned.setdefault(k, len(interned)) for k in _interning_keys(floats[live])]
+    ids[live] = _intern(interned, floats[live])
     return pts, ids.reshape(s, s), np.fromiter((v for v, _ in interned), float, len(interned))
 
 
@@ -745,17 +758,20 @@ def _products(fam: ParametricFamily, ops, keys: np.ndarray, u: int,
     v = fam.shape.evaluate_raw(ops[p], ops[q]).reduced()
     ok = fam.domain.contains_each(v)
     ids = np.full(keys.size, -1, dtype=np.intp)
-    ids[ok] = [interned.setdefault(k, len(interned)) for k in _interning_keys(v[ok])]
+    ids[ok] = _intern(interned, v[ok])
     return ids, None
 
 
-def _interning_keys(v) -> list:
-    """The keys under which equal values share an id: (num, den) of a
-    reduced rational array, (value, sign) of a float64 array, so that -0.0
-    and 0.0 stay apart."""
-    if isinstance(v, _Rationals):
-        return list(zip(v.num.tolist(), v.den.tolist()))
-    return [(x, math.copysign(1.0, x)) for x in v.tolist()]
+def _intern(interned: dict, v) -> np.ndarray:
+    """The ids of v's entries in interned, keyed by (num, den) of a reduced
+    rational array or by (value, sign) of a float64 array, so that -0.0 and
+    0.0 stay apart.  A key not there yet takes the next id, in order of
+    first appearance."""
+    keys = (list(zip(v.num.tolist(), v.den.tolist())) if isinstance(v, _Rationals)
+            else [(x, math.copysign(1.0, x)) for x in v.tolist()])
+    interned.update(zip(filterfalse(interned.__contains__, dict.fromkeys(keys)),
+                        count(len(interned))))
+    return np.fromiter(map(interned.__getitem__, keys), np.intp, len(keys))
 
 
 def _solve_each(fam: ParametricFamily, a, b) -> tuple:
@@ -772,6 +788,44 @@ def _solve_each(fam: ParametricFamily, a, b) -> tuple:
     return x, fam.domain.contains_each(x)
 
 
+# the most cells (a, b, c, d) in one block of M3 rows a, unless one row
+# holds more, and the most keys one M3 call of _products evaluates
+_BLOCK_CELLS = 1 << 13
+_KEY_CHUNK = 1 << 12
+
+
+def _quadruples(pairs: np.ndarray, u: int):
+    """Yields (keys, quads) per block of rows a: keys[a, b, c, d] = ab * u
+    + cd, the key of the product (ab)(cd), and quads where ab, ac, cd and bd
+    are all live.  The key of (ac)(bd) sits at (a, c, b, d)."""
+    s, live = len(pairs), pairs >= 0
+    step = max(1, _BLOCK_CELLS // max(1, s ** 3))
+    for a in range(0, s, step):
+        left = live[a:a + step, :, None, None] & live         # ab and cd
+        yield pairs[a:a + step, :, None, None] * u + pairs, left & left.swapaxes(1, 2)
+
+
+def _second_products(fam: ParametricFamily, values, pairs: np.ndarray) -> tuple:
+    """(second, seconds): each op(values[p], values[q]) that M3 asks for as
+    some (ab)(cd), evaluated once in ascending order of p * u + q, the key,
+    _KEY_CHUNK keys per _products call.  second[key] is its id, -1 where it
+    escapes or is not asked for; in float mode seconds[key] is its value."""
+    u = len(values)
+    wanted = np.zeros(u * u, dtype=bool)
+    for keys, quads in _quadruples(pairs, u):
+        wanted[keys[quads]] = True
+    keys = np.flatnonzero(wanted)
+    second = np.full(u * u, -1, dtype=np.intp)
+    seconds = np.empty(0 if fam.mode == "exact" else u * u)
+    interned, ops = {}, _operands(fam, values)
+    for at in range(0, keys.size, _KEY_CHUNK):
+        chunk = keys[at:at + _KEY_CHUNK]
+        second[chunk], got = _products(fam, ops, chunk, u, interned)
+        if got is not None:
+            seconds[chunk] = got
+    return second, seconds
+
+
 def sampled_axiom_check(fam: ParametricFamily,
                         samples: Optional[Sequence[Number]] = None,
                         denominator: int = 16) -> SampleReport:
@@ -781,10 +835,12 @@ def sampled_axiom_check(fam: ParametricFamily,
     is classified from the same pair table.
 
     Each stage is a batch, and each distinct ordered product is evaluated
-    once per call by _products: products of samples in _pair_table, products
-    of two such products from a u x u table over their ids, taking each
-    slice of quadruples (a, b, c, d) per a and that slice's missing keys in
-    key order.  Float mode lifts each value once per stage.  M1 compares the
+    once per call by _products: products of samples in _pair_table, then
+    by _second_products those of two such products that M3's quadruples
+    (a, b, c, d) ask for.  M3 scans blocks of rows a of _BLOCK_CELLS cells
+    twice, to mark those keys and to compare (ab)(cd) with (ac)(bd), so
+    memory is O(u^2 + s^3 + _BLOCK_CELLS + _KEY_CHUNK) for u <= s^2
+    distinct products.  Float mode lifts each value once per stage.  M1 compares the
     pair table with its transpose; M2 solves all live pairs in one
     _solve_each call, and in float mode evaluates x' op y for every solution
     x' in one more batch, the first escaping pair raising evaluate's
@@ -818,35 +874,16 @@ def sampled_axiom_check(fam: ParametricFamily,
         worst = max(worst, float(residual.max(initial=0.0)))
         m2 = bool(ok.all() and (residual <= FLOAT_TOL).all())
 
-    # second[p * u + q] is -2 until op(values[p], values[q]) is evaluated
-    # (-3 while a batch waits for it), then -1 if it escaped the carrier,
-    # else the id of its value: equal values share an id in exact mode; in
-    # float mode the id is p * u + q and the value sits in seconds[p*u+q]
     s, u = len(pts), len(values)
-    second = np.full(u * u, -2, dtype=np.intp)
-    interned: dict = {}
-    seconds = np.empty(0 if exact else u * u)
-    ops = _operands(fam, values)
-    for row in pairs:                         # one slice per a
-        live = row >= 0                       # the b (and c) with ab live
-        nb = int(live.sum())
-        closure += (s - nb) * (1 + nb)        # each escaped ab, ac per live b
-        sub, ids = pairs[live], row[live]
-        escaped = int((sub < 0).sum())        # escaped cd over live c and d
-        closure += 2 * nb * escaped           # cd per live b, bd per live c
-        m3 = m3 and not (nb and escaped)
-        # (b, c, d) over live b and c, in loop order
-        cd, bd = sub[None, :, :], sub[:, None, :]
-        mask = (cd >= 0) & (bd >= 0)
-        lhs = (ids[:, None, None] * u + cd)[mask]
-        rhs = (ids[None, :, None] * u + bd)[mask]
-        second[lhs[second[lhs] == -2]] = -3   # rhs(b, c, d) = lhs(c, b, d)
-        keys = np.flatnonzero(second == -3)
-        if keys.size:
-            second[keys], got = _products(fam, ops, keys, u, interned)
-            if got is not None:
-                seconds[keys] = got
-        lhs, rhs = second[lhs], second[rhs]
+    live = pairs >= 0
+    nb = live.sum(axis=1)                     # the b (and c) with ab live
+    escaped = live.astype(np.intp) @ (s - nb)  # escaped cd over live c and d
+    # M3: each escaped ab, ac per live b; cd per live b, bd per live c
+    closure += int(((s - nb) * (1 + nb)).sum() + 2 * (nb * escaped).sum())
+    m3 = not ((nb > 0) & (escaped > 0)).any()
+    second, seconds = _second_products(fam, values, pairs)
+    for keys, quads in _quadruples(pairs, u):
+        lhs, rhs = second[keys[quads]], second[keys.swapaxes(1, 2)[quads]]
         closure += int((lhs < 0).sum() + (rhs < 0).sum())
         both = (lhs >= 0) & (rhs >= 0)
         m3 = m3 and bool(both.all())
@@ -873,9 +910,8 @@ def sampled_associativity(fam: ParametricFamily,
     pts, pairs, values = _pair_table(
         fam, samples if samples is not None else default_samples(fam, 8))
     vals = _array(fam, [*values, *pts])
-    first: dict = {}
-    sid = np.array([first.setdefault(k, i) for i, k in enumerate(_interning_keys(vals))],
-                   dtype=np.intp)[len(values):]
+    seen = _intern({}, vals)                  # sid: where in vals each sample first is
+    sid = np.unique(seen, return_index=True)[1][seen[len(values):]]
     w = len(vals)
     a, b, c = np.nonzero((pairs[:, :, None] >= 0) & (pairs[None, :, :] >= 0))
     keys, inv = np.unique(np.concatenate((pairs[a, b] * w + sid[c],
@@ -915,26 +951,17 @@ class FamilyClassification:
 
 
 def _flag_with_evidence(fam: ParametricFamily, name: str, analytic: Optional[bool],
-                        attempts: Iterable[tuple[str, Optional[Number]]]):
-    checked = ok = 0
-    refuting = None
-    for desc, solution in attempts:
-        checked += 1
-        if solution is not None:
-            ok += 1
-        elif refuting is None:
-            refuting = desc
-    sampled = refuting is None
-    if analytic is None:
-        flag = sampled
-    else:
-        flag = analytic
-        if analytic and not sampled:
-            raise AssertionError(
-                f"{fam.id}: analytic {name} verdict contradicts witness {refuting}")
-    evidence = {"analytic": analytic, "witnesses": checked, "solved": ok,
-                "refuting_witness": refuting}
-    return flag, evidence
+                        solved: np.ndarray, describe):
+    """The flag and its evidence from witnesses k = 0, 1, ..., where
+    solved[k] says whether witness k has a solution; describe(k) names the
+    first witness without one."""
+    refuting = None if solved.all() else describe(int(np.argmin(solved)))
+    if analytic and refuting is not None:
+        raise AssertionError(
+            f"{fam.id}: analytic {name} verdict contradicts witness {refuting}")
+    evidence = {"analytic": analytic, "witnesses": solved.size,
+                "solved": int(solved.sum()), "refuting_witness": refuting}
+    return refuting is None if analytic is None else analytic, evidence
 
 
 def _totality(shape: Shape, e: Fraction) -> tuple[bool, bool, bool]:
@@ -979,18 +1006,16 @@ def _classify(fam: ParametricFamily, pts: list, coerced: list, pairs: np.ndarray
     s, u = len(coerced), len(values)
     total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
     xs, es = _array(fam, coerced), _array(fam, [e] * max(s, u))
-    solved = [[ok or None for ok in _solve_each(fam, a, b)[1].tolist()]
+    solved = [_solve_each(fam, a, b)[1]
               for a, b in ((es[:s], xs), (xs, es[:s]), (es[:u], values))]
     expansive, ev_exp = _flag_with_evidence(
-        fam, "expansive", total[0], ((f"a={a}", x) for a, x in zip(pts, solved[0])))
+        fam, "expansive", total[0], solved[0], lambda k: f"a={pts[k]}")
     symmetric, ev_sym = _flag_with_evidence(
-        fam, "symmetric", total[1], ((f"a={a}", x) for a, x in zip(pts, solved[1])))
-    monoid, ev_mon = _flag_with_evidence(
-        fam, "monoid", total[2],
-        ((f"pair=({x},{y})", None if k < 0 else solved[2][k])
-         for x, row in zip(pts, pairs.tolist()) for y, k in zip(pts, row)))
-    group = monoid and symmetric
-    label = classify(expansive, symmetric, monoid, group)
+        fam, "symmetric", total[1], solved[1], lambda k: f"a={pts[k]}")
+    monoid, ev_mon = _flag_with_evidence(                # False at id -1
+        fam, "monoid", total[2], np.append(solved[2], False)[pairs.ravel()],
+        lambda k: f"pair=({pts[k // s]},{pts[k % s]})")
+    label = classify(expansive, symmetric, monoid, monoid and symmetric)
     matches = None if fam.expected_label is None else (label.label == fam.expected_label)
     return FamilyClassification(fam.id, label, fam.expected_label, matches,
                                 {"expansive": ev_exp, "symmetric": ev_sym,

@@ -37,8 +37,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 # the most array cells (8 bytes each) a command may plan to hold at once:
-# generate holds about 4 n^2 at order n, catalog about s^4 for s samples
-# (its table of products of products, over up to s^2 distinct products)
+# generate about 4 n^2 at order n; catalog O(u^2 + s^3 + fixed caps) for
+# u <= s^2 distinct products of s samples, checked here as s^4
 MAX_CELLS = 1 << 27
 
 

@@ -262,12 +262,37 @@ def brute_contains(iv, x):
     return True
 
 
+# the catalog's flag helper as it was when it took one (description,
+# solution) attempt at a time, kept here so the oracle shares no code with
+# the batched helper it checks
+def _flag_with_evidence(fam, name, analytic, attempts):
+    checked = ok = 0
+    refuting = None
+    for desc, solution in attempts:
+        checked += 1
+        if solution is not None:
+            ok += 1
+        elif refuting is None:
+            refuting = desc
+    sampled = refuting is None
+    if analytic is None:
+        flag = sampled
+    else:
+        flag = analytic
+        if analytic and not sampled:
+            raise AssertionError(
+                f"{fam.id}: analytic {name} verdict contradicts witness {refuting}")
+    evidence = {"analytic": analytic, "witnesses": checked, "solved": ok,
+                "refuting_witness": refuting}
+    return flag, evidence
+
+
 def brute_classify_family(fam, samples=None):
     """classify_family with one fam.evaluate and one solve per monoid
     witness pair: the reference for catalog.classify_family and for the
     verdict of catalog.sampled_axiom_check."""
-    from ccmagma.catalog import (ClosureError, FamilyClassification,
-                                 _flag_with_evidence, _totality, default_samples)
+    from ccmagma.catalog import (ClosureError, FamilyClassification, _totality,
+                                 default_samples)
     from ccmagma.structures import classify
 
     if fam.unit is None:

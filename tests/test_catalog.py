@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccmagma import cli, fixtures
+from ccmagma import catalog, cli, fixtures
 from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REALS,
                              REALS, AffineFamily, ClosureError, CubeRootFamily,
                              DomainError, GeometricFamily, HarmonicFamily, Interval,
                              LogSumExpFamily, ParametricFamily,
                              ProbSumFamily, TanhSumFamily, _Lifted, _Rationals,
-                             _operands, _pair_table, _products, _solve_each,
-                             _totality, classify_family, default_samples,
+                             _operands, _pair_table, _products, _quotient, _ratio,
+                             _solve_each, _totality, classify_family, default_samples,
                              half_has_no_inverse_check, monoid_formula_check,
                              sampled_associativity, sampled_axiom_check)
 from ccmagma.core import check_axioms
@@ -501,6 +501,56 @@ def test_m3_scan_memory_is_sliced():
     assert peak < 6_000_000, peak
 
 
+def test_every_family_peaks_under_4_mb_at_grid_16():
+    # the u x u tables of products of products, one block of quadruples and
+    # one chunk of keys; logsumexp-R peaked highest, at 3.03 MB, when M3
+    # evaluated one slice of quadruples per first element at a time
+    peaks = {}
+    for fid, fam in sorted(CATALOG.items()):
+        tracemalloc.start()
+        try:
+            sampled_axiom_check(fam, denominator=16)
+            peaks[fid] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 4_000_000, peaks
+
+
+def _m3_keys(pairs):
+    """The keys ab * u + cd of the products (ab)(cd) over the quadruples
+    (a, b, c, d) of samples with ab, ac, cd and bd live, one at a time."""
+    u = int(pairs.max(initial=-1)) + 1
+    t = pairs.tolist()
+    return {t[a][b] * u + t[c][d] for a, b, c, d in product(range(len(t)), repeat=4)
+            if min(t[a][b], t[a][c], t[c][d], t[b][d]) >= 0}
+
+
+def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
+    # at grid 8, one _products call makes the pair table; then M3 evaluates
+    # each key it asks for once, in ascending order, _KEY_CHUNK keys per
+    # call; logsumexp-R made 19 calls when M3 took one batch per slice
+    calls = []
+
+    def counted(fam, ops, keys, u, interned, products=catalog._products):
+        calls.append(keys.copy())
+        return products(fam, ops, keys, u, interned)
+
+    counts = {}
+    for fid, fam in sorted(CATALOG.items()):
+        want = _m3_keys(_pair_table(fam, default_samples(fam, 8))[1])
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "_products", counted)
+            sampled_axiom_check(fam, denominator=8)
+        got = np.concatenate(calls[1:]) if calls[1:] else np.empty(0, dtype=np.intp)
+        assert len(calls) == 1 + -(-len(want) // catalog._KEY_CHUNK), fid
+        assert all(0 < len(keys) <= catalog._KEY_CHUNK for keys in calls[1:]), fid
+        assert (np.diff(got) > 0).all() and set(got.tolist()) == want, fid
+        counts[fid] = len(calls)
+    assert counts["logsumexp-R"] == 9         # 1 + ceil(171^2 keys / 4096)
+    assert sum(counts.values()) == 66
+
+
 NON_CLOSED = [
     ParametricFamily("affine-[0,1]:1,0", AffineFamily(1, 0, Interval(0, 1)),
                      "a+b", None, None, True),
@@ -851,9 +901,111 @@ def _pairs(r):
     return list(zip(r.num.tolist(), r.den.tolist()))
 
 
+def _wide_part(rng, bits):
+    """A positive numerator or denominator: small, at 2**31 or one either
+    side of it, or drawn up to 2**bits."""
+    return rng.choice((rng.randint(1, 9), 2 ** 31 + rng.randint(-1, 1),
+                       rng.randint(2 ** 31, 2 ** bits - 1)))
+
+
+def _wide(rng, bits):
+    return F(rng.choice((-1, 0, 1)) * _wide_part(rng, bits), _wide_part(rng, bits))
+
+
+def _stored(xs, dtype):
+    """The rational array of xs with numerators and denominators of dtype."""
+    return _Rationals(np.array([x.numerator for x in xs], dtype=dtype),
+                      np.array([x.denominator for x in xs], dtype=dtype))
+
+
+# scalar operands: beyond int64 either way, at 2**31 and small
+WIDE_SCALARS = (2 ** 64 + 1, -2 ** 63 - 5, F(3, 2 ** 65), F(-2 ** 70, 7), 2 ** 31, -7, F(1, 3))
+
+# carriers with ends at 2**31, at the ends of int64 and beyond them
+WIDE_CARRIERS = (REALS, INTEGERS, NATURALS0, Interval(-2 ** 31, 2 ** 31, True, False),
+                 Interval(-2 ** 63, 2 ** 63 - 1, integral=True),
+                 Interval(F(-2 ** 70, 3), F(2 ** 64, 7)),
+                 Interval(F(2 ** 31 + 1, 2 ** 31), F(2 ** 70), True, True),
+                 Interval(F(1, 2 ** 40), None, lo_open=True))
+
+
+# int64 parts up to 2**63 - 1 and -2**63, whose absolute value wraps;
+# object parts up to 2**70
+STORAGES = pytest.mark.parametrize("dtype,bits", [(np.int64, 63), (object, 70)],
+                                   ids=["int64", "object"])
+
+
 class TestRationalArrays:
     """The rational arrays of the vectorised M3 path against Fraction
     arithmetic, one entry at a time."""
+
+    @STORAGES
+    def test_wide_parts_match_fraction_arithmetic(self, dtype, bits):
+        # -2**63 as the one wide part: its absolute value wraps to itself
+        x = _stored([F(-2 ** 63), F(1, 2)], dtype)
+        assert list(x * _stored([F(3), F(1, 3)], dtype)) == [F(-3 * 2 ** 63), F(1, 6)]
+        assert list(x - 1) == [F(-2 ** 63 - 1), F(-1, 2)]
+        rng = random.Random(41)
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+        for _ in range(30):
+            xs = [*(_wide(rng, bits) for _ in range(10)), F(-2 ** 63, 3), F(2 ** 31 - 1, 2 ** 31)]
+            ys = [_wide(rng, bits) or F(1) for _ in range(12)]
+            x, y, c = _stored(xs, dtype), _stored(ys, dtype), rng.choice(WIDE_SCALARS)
+            for op in ops:
+                for got, want in ((op(x, y), map(op, xs, ys)),
+                                  (op(x, c), (op(v, c) for v in xs)),
+                                  (op(c, y), (op(c, v) for v in ys))):
+                    want = [F(w) for w in want]
+                    assert (got.den > 0).all() and list(got) == want
+                    got = got.reduced()
+                    assert _pairs(got) == [(w.numerator, w.denominator) for w in want]
+                    assert got.same(_rationals(want)).all()
+                    assert got.same(_rationals(want[::-1])).tolist() == [
+                        v == w for v, w in zip(want, want[::-1])]
+            for iv in WIDE_CARRIERS:
+                assert iv.contains_each(x).tolist() == [brute_contains(iv, v) for v in xs], iv
+
+    @STORAGES
+    def test_wide_quotients_and_ratios(self, dtype, bits):
+        # _quotient of raw parts with signed denominators, and a solver's
+        # _ratio, which leaves a zero denominator where it divides by zero
+        rng = random.Random(43)
+        for _ in range(30):
+            nums = [rng.choice((-1, 1)) * rng.randint(0, 2 ** (bits - 1)) for _ in range(12)]
+            dens = [rng.choice((-1, 1)) * _wide_part(rng, bits - 1) for _ in range(12)]
+            got = _quotient(np.array(nums, dtype=dtype), np.array(dens, dtype=dtype))
+            assert (got.den > 0).all() and list(got) == list(map(F, nums, dens))
+            xs = [_wide(rng, bits) for _ in range(12)]
+            ds = [_wide(rng, bits) if k % 3 else F(0) for k in range(12)]
+            c = rng.choice(WIDE_SCALARS)
+            for num, each in ((_stored(xs, dtype), xs), (c, [c] * len(ds))):
+                got = _ratio(num, _stored(ds, dtype))
+                for n, d, x, y in zip(got.num.tolist(), got.den.tolist(), each, ds):
+                    assert d == 0 if y == 0 else d > 0 and F(n, d) == F(x) / y
+        with pytest.raises(ZeroDivisionError):
+            _quotient(np.array([1, 2], dtype=dtype), np.array([3, 0], dtype=dtype))
+
+    def test_exact_families_at_grid_8_stay_on_int64(self, monkeypatch):
+        # the pair table's values are int64 arrays, and no operation of the
+        # check promotes its parts to Python ints: every product, solve and
+        # carrier test runs on int64
+        promoted = []
+
+        def recording(*parts, promote=catalog._promoted):
+            out = promote(*parts)
+            promoted.extend(p for p in out if isinstance(p, np.ndarray) and p.dtype == object)
+            return out
+
+        monkeypatch.setattr(catalog, "_promoted", recording)
+        exact = [fam for fam in CATALOG.values() if fam.mode == "exact"]
+        for fam in exact:
+            values = _pair_table(fam, default_samples(fam, 8))[2]
+            assert values.num.dtype == values.den.dtype == np.int64, fam.id
+            sampled_axiom_check(fam, denominator=8)
+        assert len(exact) == 24 and promoted == []
+        # where a part reaches 2**31, the operation runs on Python ints
+        x = _stored([F(2 ** 31 - 1, 3)], np.int64)
+        assert (x * x).num.dtype == np.int64 and (x * 2 ** 31).num.dtype == object
 
     def test_arithmetic_with_arrays_and_scalars(self):
         rng = random.Random(5)
@@ -1113,6 +1265,55 @@ class TestFloatArrays:
                 check(fam, pts)
 
 
+# (_BLOCK_CELLS, _KEY_CHUNK): blocks of one row of quadruples and calls of
+# one or seven keys, and blocks of 2 to 11 rows at 3 to 6 samples
+EDGE_CAPS = [(1, 1), (7, 7), (300, 7)]
+
+
+def _parametrized(test):
+    """The argument tuples of a test's parametrize mark."""
+    return next(m.args[1] for m in test.pytestmark if m.name == "parametrize")
+
+
+class TestBlockAndChunkEdges:
+    """TestSampledAxiomOracle's grids and traps, and the float errors of one
+    product at a time, at caps so small that M3's blocks and _products
+    calls end inside each grid; at the default caps most of these grids
+    fit in one block and one call."""
+
+    @pytest.fixture(params=EDGE_CAPS, ids=str)
+    def caps(self, request, monkeypatch):
+        monkeypatch.setattr(catalog, "_BLOCK_CELLS", request.param[0])
+        monkeypatch.setattr(catalog, "_KEY_CHUNK", request.param[1])
+
+    @pytest.mark.parametrize("fid", sorted(CATALOG))
+    def test_catalog_grids(self, fid, monkeypatch):
+        fam = CATALOG[fid]
+        for denominator in range(2, 7):
+            want = brute_sampled_axiom_check(fam, denominator=denominator)
+            for cells, keys in EDGE_CAPS:
+                monkeypatch.setattr(catalog, "_BLOCK_CELLS", cells)
+                monkeypatch.setattr(catalog, "_KEY_CHUNK", keys)
+                assert sampled_axiom_check(fam, denominator=denominator) == want, (cells, keys)
+
+    @pytest.mark.parametrize("trap", TRAPS)
+    def test_second_level_exception_comes_from_the_same_product(self, trap, caps):
+        TestSampledAxiomOracle().test_second_level_exception_comes_from_the_same_product(trap)
+
+    @pytest.mark.parametrize("trap", TRAPS)
+    def test_float_second_level_exception_comes_from_the_same_product(self, trap, caps):
+        TestSampledAxiomOracle().test_float_second_level_exception_comes_from_the_same_product(
+            trap)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fam,pts,error,message",
+        _parametrized(TestFloatArrays.test_errors_are_those_of_one_product_at_a_time),
+        ids=lambda v: getattr(v, "id", None) or repr(v))
+    def test_errors_are_those_of_one_product_at_a_time(self, fam, pts, error, message, caps):
+        TestFloatArrays().test_errors_are_those_of_one_product_at_a_time(fam, pts, error, message)
+
+
 def _verdict_or_error(classify_fn):
     try:
         return classify_fn().to_dict()
@@ -1231,6 +1432,17 @@ class TestAssociativityMetadata:
         for g in range(2, 17):
             pts = default_samples(fam, g)
             assert sampled_associativity(fam, pts) == brute_sampled_associativity(fam, pts), g
+
+    def test_repeated_samples_match_the_oracle(self):
+        # a sample equal to an earlier one, or to a product of two, reads
+        # the products of the first equal entry of the values and samples
+        rng = random.Random(3)
+        for fam in CATALOG.values():
+            base = default_samples(fam, 4)
+            for _ in range(5):
+                pts = [rng.choice(base) for _ in range(6)]
+                assert (sampled_associativity(fam, pts)
+                        == brute_sampled_associativity(fam, pts)), (fam.id, pts)
 
     def test_an_escape_on_one_side_skips_the_triple(self):
         # (a + b) + 0 leaves the carrier where a + b = 1/2, while a + (b + 0)
