@@ -206,7 +206,7 @@ def _cmd_relation(args):
     results = {"subalgebra": seed, "unit": e, "internal": internal,
                "reflexive": reflexive, "symmetric": symmetric, "transitive": transitive,
                "difunctional": difunctional, "congruence": congruence,
-               "transitivity_criterion": _transitivity_criterion(magma, xset, e),
+               "transitivity_criterion": _transitivity_criterion(magma, xset, e, transitive),
                "relation": format_relation(rel)}
     if congruence:
         results["classes"] = len(rel.classes())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -187,6 +187,8 @@ def parse_relation_grid(text: str) -> tuple[int, int, tuple[tuple[bool, ...], ..
         rows, cols = (int(p) for p in head.split())
     except ValueError:
         raise ParseError(f"line {lineno}: sizes {head!r} are not two integers") from None
+    if min(rows, cols) < 1:
+        raise ParseError(f"line {lineno}: sizes must be >= 1, got {rows} {cols}")
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} rows, found {len(lines) - 1}")
     grid = []
@@ -241,16 +243,16 @@ def _check_subalgebra_inputs(m: FiniteMagma, xs: Iterable[int], e: int) -> tuple
     return xset
 
 
-def _witness_grid(m: FiniteMagma, xset: tuple[int, ...], e: int) -> np.ndarray:
-    """[a, b] = the smallest x in the checked xset with a op e = x op b, or -1."""
-    t, grid = m.arr, np.full((m.order, m.order), -1, dtype=np.intp)
-    for x in reversed(xset):
-        grid[t[:, e, None] == t[x]] = x
-    return grid
+def _divisions(t: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+    """[v, b] = the first x in xs, in the order given, with x op b = v, or -1."""
+    out, cols = np.full(t.shape, -1, dtype=np.intp), np.arange(len(t))
+    for x in xs[::-1]:   # one row per write, n distinct cells: the first x wins
+        out[t[x], cols] = x
+    return out
 
 
 def _induced(m: FiniteMagma, xset: tuple[int, ...], e: int) -> BinaryRelation:
-    return BinaryRelation(m, m, _witness_grid(m, xset, e) >= 0)
+    return BinaryRelation(m, m, _divisions(m.arr, xset)[m.arr[:, e]] >= 0)
 
 
 def subalgebra_relation(m: FiniteMagma, xs: Iterable[int], e: int) -> BinaryRelation:
@@ -260,23 +262,24 @@ def subalgebra_relation(m: FiniteMagma, xs: Iterable[int], e: int) -> BinaryRela
 
 def subalgebra_witnesses(m: FiniteMagma, xs: Iterable[int],
                          e: int) -> tuple[tuple[Optional[int], ...], ...]:
-    """First witness x (in increasing order) per related pair, None elsewhere."""
-    grid = _witness_grid(m, _check_subalgebra_inputs(m, xs, e), e)
+    """[a][b] = the smallest x in the subalgebra with a op e = x op b, or None:
+    row a op e of the one division table, _divisions."""
+    grid = _divisions(m.arr, _check_subalgebra_inputs(m, xs, e))[m.arr[:, e]]
     return tuple(tuple(None if x < 0 else x for x in row) for row in grid.tolist())
 
 
 def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
     """Exact criterion: for all x, y in the subalgebra and c in the carrier,
     solvability of a op e = x op b and b op e = y op c forces some z in the
-    subalgebra with z op e = x op y.
-
-    Cross-checked against direct transitivity of the induced relation.
-    """
-    return _transitivity_criterion(m, _check_subalgebra_inputs(m, xs, e), e)
+    subalgebra with z op e = x op y; cross-checked against direct transitivity."""
+    xset = _check_subalgebra_inputs(m, xs, e)
+    return _transitivity_criterion(m, xset, e, _induced(m, xset, e).is_transitive()[0])
 
 
-def _transitivity_criterion(m: FiniteMagma, xset: tuple[int, ...], e: int) -> bool:
-    # on a checked xset; builds its own relation to cross-check against
+def _transitivity_criterion(m: FiniteMagma, xset: tuple[int, ...], e: int,
+                            direct: bool) -> bool:
+    """The criterion on a checked xset, computed without the relation;
+    direct, the relation's own transitivity verdict, is its cross-check."""
     xa, t = np.array(xset), m.arr
     # d[i, c] = the b with b op e = xset[i] op c, or -1
     d = _column_inverse(t, e)[t[xa]]
@@ -285,7 +288,6 @@ def _transitivity_criterion(m: FiniteMagma, xset: tuple[int, ...], e: int) -> bo
     # [x, y]: some b solves b op e = y op c (some c) with x op b solvable
     chained = (d >= 0).astype(np.intp) @ reach.T.astype(np.intp) > 0
     holds = not (chained & ~np.isin(d[:, xa], xa)).any()
-    direct, _ = _induced(m, xset, e).is_transitive()
     if holds != direct:
         raise AssertionError(
             f"criterion ({holds}) disagrees with direct transitivity ({direct})")
@@ -400,9 +402,9 @@ def kite_theta(k: KiteInput) -> Optional[Homomorphism]:
     a, c = np.array(span.carrier, dtype=np.intp).reshape(-1, 2).T
     vb, rhs = v[f[a]], td[u[a], w[c]]
     # the smallest and the largest x with x op v(b) = rhs, per pair
-    first = np.array([_column_inverse(td, y) for y in k.D.elements()])[vb, rhs]
-    last = np.array([_column_inverse(td[::-1], y) for y in k.D.elements()])[vb, rhs]
-    hit = _first((first < 0) | (first != len(td) - 1 - last))
+    first = _divisions(td, k.D.elements())[rhs, vb]
+    last = _divisions(td, k.D.elements()[::-1])[rhs, vb]
+    hit = _first((first < 0) | (first != last))
     if hit is not None:
         if first[hit] >= 0:
             raise ValueError("multiple solutions: D is not cancellative")

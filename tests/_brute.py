@@ -117,6 +117,13 @@ def brute_classes(member):
     return out
 
 
+def brute_witnesses(table, xset, e):
+    """[a][b] = the smallest x in xset with a op e = x op b, or None."""
+    n = len(table)
+    return tuple(tuple(next((x for x in sorted(xset) if table[a][e] == table[x][b]), None)
+                       for b in range(n)) for a in range(n))
+
+
 def brute_closure(table, seed):
     """The smallest subset holding seed and closed under table, sorted: add
     every product of two members until a round adds nothing."""

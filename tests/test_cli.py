@@ -260,6 +260,32 @@ class TestClosuresPerCommand:
         assert len(calls) == 1, calls
 
 
+class TestRelationBuiltOncePerCommand:
+    @pytest.mark.parametrize("subalgebra, unit", [("0,3,6", "0"), ("0", "0"),
+                                                  ("0,1,2,3,4,5,6,7,8", "3")])
+    def test_one_division_table_and_one_product(self, capsys, monkeypatch, z9_file,
+                                                subalgebra, unit):
+        """relation builds one division table and one transitivity product;
+        the criterion's cross-check reuses the command's verdict."""
+        from ccmagma import relations
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(relations, "_divisions",
+                            counted("_divisions", relations._divisions))
+        monkeypatch.setattr(relations.BinaryRelation, "is_transitive",
+                            counted("is_transitive", relations.BinaryRelation.is_transitive))
+        code, report, _ = run(capsys, "relation", z9_file, "--subalgebra", subalgebra,
+                              "--unit", unit)
+        assert code == 0 and report["results"]["transitivity_criterion"]
+        assert sorted(calls) == ["_divisions", "is_transitive"], calls
+
+
 class TestRelation:
     def test_mod3_congruence(self, capsys, z9_file):
         code, report, _ = run(capsys, "relation", z9_file,

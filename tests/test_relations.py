@@ -24,7 +24,7 @@ from test_core import _near_miss
 from _brute import (brute_classes, brute_difunctional,
                     brute_difunctional_witness, brute_format_relation,
                     brute_internal, brute_pairs, brute_reflexive,
-                    brute_transitive, endomorphism_pool)
+                    brute_transitive, brute_witnesses, endomorphism_pool)
 
 
 def hom(m, mapping):
@@ -337,6 +337,8 @@ class TestSerialization:
         ("# nothing\n  \n", "empty input"),
         ("3\n1 0 0", "line 1: sizes '3' are not two integers"),
         ("a b\n1", "line 1: sizes 'a b' are not two integers"),
+        ("0 -2\n", "line 1: sizes must be >= 1, got 0 -2"),
+        ("0 5\n", "line 1: sizes must be >= 1, got 0 5"),
         ("2 2\n1 0", "expected 2 rows, found 1"),
         ("2 2\n1 0\n0 1\n1 1", "expected 2 rows, found 3"),
         ("2 2\n1 0\n0", "line 3: expected 2 entries, found 1"),
@@ -401,6 +403,19 @@ class TestEqualizer:
             equalizer_relation(F5A, F5A, f, g)
 
 
+def _division_corpus():
+    """(m, e) for up to 3 idempotents e of generated tables at orders 1..24,
+    the fixtures, and affine tables a(x + y) + b mod n, where several x can
+    solve one division when a is not invertible."""
+    tables = [*(generate_quasigroup(n, s)[0] for n in range(1, 25) for s in (0, 1)),
+              A2, A3, F5A, Z9A,
+              *(fixtures.affine_mod(n, a, b) for n in range(2, 17)
+                for a in (1, 2, 3) for b in (0, 1))]
+    for m in tables:
+        for e in idempotents(m)[:3]:
+            yield m, e
+
+
 class TestSubalgebraRelation:
     def test_mod3_congruence(self):
         r = subalgebra_relation(Z9A, (0, 3, 6), 0)
@@ -461,6 +476,19 @@ class TestSubalgebraRelation:
                                for y in earlier)
                 else:
                     assert x is None
+
+    def test_witnesses_match_tuple_oracle(self):
+        seen = {"unique": 0, "several": 0}
+        for m, e in _division_corpus():
+            for xs in {subalgebra_closure(m, {e, y}) for y in m.elements()}:
+                expected = brute_witnesses(m.table, xs, e)
+                assert subalgebra_witnesses(m, xs, e) == expected
+                # several x solve some related pair: minimality is tested
+                several = any(m.table[a][e] == m.table[x][b] for a, row in enumerate(expected)
+                              for b, w in enumerate(row) if w is not None
+                              for x in xs if x > w)
+                seen["several" if several else "unique"] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 class TestTransitivityCriterion:
@@ -583,6 +611,32 @@ class TestKiteTheta:
         one = fixtures.singleton()
         with pytest.raises(ValueError, match="not idempotent"):
             constant_hom(one, A3, 0)
+
+    def test_matches_solution_lists(self):
+        """Per carrier pair, every x with x op v(b) = u(a) op w(c): a map is
+        the singletons, None and "multiple solutions" name the first pair
+        without exactly one x."""
+        seen = {"map": 0, "multiple": 0}
+        for m, e in _division_corpus():
+            k = TestPullback().make_corollary_kite(m, e)
+            d, (f, u, v, w) = k.D.table, (h.map for h in (k.f, k.u, k.v, k.w))
+            lists = [[x for x in k.D.elements() if d[x][v[f[a]]] == d[u[a]][w[c]]]
+                     for a, c in build_pullback(k).carrier]
+            bad = next((xs for xs in lists if len(xs) != 1), None)
+            try:
+                theta = kite_theta(k)
+            except ValueError as exc:
+                assert "multiple solutions" in str(exc) and len(bad) >= 2
+                seen["multiple"] += 1
+            except AssertionError:
+                assert bad is None
+            else:
+                if theta is None:
+                    assert bad == []
+                else:
+                    assert bad is None and list(theta.map) == [xs[0] for xs in lists]
+                    seen["map"] += 1
+        assert seen["map"] >= 30 and seen["multiple"] >= 10, seen
 
     def test_split_product_kite_with_27_carrier(self):
         # first-projection split epi of the order-9 product over the order-3
