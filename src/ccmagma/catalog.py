@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, filterfalse
+from itertools import count
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -204,6 +204,9 @@ class _Rationals:
 
     def __getitem__(self, k) -> _Rationals:
         return _Rationals(self.num[k], self.den[k])
+
+    def __setitem__(self, k, other: _Rationals):
+        self.num[k], self.den[k] = other.num, other.den
 
     def reduced(self) -> _Rationals:
         g = np.gcd(self.num, self.den)
@@ -721,57 +724,47 @@ def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
     raises for the first bad k), and every ordered product of them, evaluated
     once by _products over the keys in row-major order.  table[i, j] is the
     id of pts[i] op pts[j] in values, or -1 where it escapes the carrier.
-    Equal products share one id, numbered in row-major order of first
-    appearance; in float mode -0.0 and 0.0 stay apart.  values is a reduced
-    _Rationals in exact mode, on int64 arrays where its parts fit, and a
-    float64 array in float mode."""
+    Ids are made here alone: _intern gives equal products one id, numbered
+    in row-major order of first appearance, so equal ids mean equal values;
+    in float mode -0.0 and 0.0 stay apart.  values, each product at its
+    first appearance, is a reduced _Rationals in exact mode and a float64
+    array in float mode."""
     pts = []
     for x in samples:
         pts.append(fam._coerce(x))
         if not fam.domain.contains(pts[-1]):
             raise DomainError(f"{fam.id}: inputs ({pts[0]}, {pts[-1]}) outside {fam.domain}")
     s = len(pts)
-    interned: dict = {}
-    ids, floats = _products(fam, _operands(fam, pts), np.arange(s * s), s, interned)
-    if floats is None:
-        ends = _ints(list(interned)).reshape(-1, 2)
-        return pts, ids.reshape(s, s), _Rationals(ends[:, 0], ends[:, 1])
-    live = ids >= 0
-    ids[live] = _intern(interned, floats[live])
-    return pts, ids.reshape(s, s), np.fromiter((v for v, _ in interned), float, len(interned))
+    v, live = _products(fam, _operands(fam, pts), np.arange(s * s), s)
+    ids = np.full(s * s, -1, dtype=np.intp)
+    ids[live] = _intern(v[live])
+    return pts, ids.reshape(s, s), v[live][np.unique(ids[live], return_index=True)[1]]
 
 
-def _products(fam: ParametricFamily, ops, keys: np.ndarray, u: int,
-              interned: dict) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _products(fam: ParametricFamily, ops, keys: np.ndarray, u: int) -> tuple:
     """op(vals[k // u], vals[k % u]) over keys, for ops = _operands(fam,
     vals), in one call of the shape: evaluate_raw on rational arrays, or
     join on lifted floats, bit for bit as one product at a time.  Returns
-    (ids, floats), ids -1 where a product escapes the carrier.  In exact mode
-    equal products share the id interned gives their reduced (num, den) and
-    floats is None; in float mode the id is the key and floats holds the
-    products.  An exception is the shape's own, raised by the batch."""
+    (values, live), as _solve_each does: the products, reduced in exact
+    mode, and a mask of those in the carrier.  An exception is the shape's
+    own, raised by the batch."""
     p, q = np.divmod(keys, u)
-    if fam.mode == "float":
+    if fam.mode == "exact":
+        v = fam.shape.evaluate_raw(ops[p], ops[q]).reduced()
+    else:
         with np.errstate(all="ignore"):
-            floats = fam.shape.join(ops[p], ops[q])
-        return np.where(fam.domain.contains_each(floats), keys, -1), floats
-    v = fam.shape.evaluate_raw(ops[p], ops[q]).reduced()
-    ok = fam.domain.contains_each(v)
-    ids = np.full(keys.size, -1, dtype=np.intp)
-    ids[ok] = _intern(interned, v[ok])
-    return ids, None
+            v = fam.shape.join(ops[p], ops[q])
+    return v, fam.domain.contains_each(v)
 
 
-def _intern(interned: dict, v) -> np.ndarray:
-    """The ids of v's entries in interned, keyed by (num, den) of a reduced
-    rational array or by (value, sign) of a float64 array, so that -0.0 and
-    0.0 stay apart.  A key not there yet takes the next id, in order of
-    first appearance."""
+def _intern(v) -> np.ndarray:
+    """Ids of v's entries, equal entries sharing one, numbered in order of
+    first appearance: keyed by (num, den) of a reduced rational array or by
+    (value, sign) of a float64 array, so that -0.0 and 0.0 stay apart."""
     keys = (list(zip(v.num.tolist(), v.den.tolist())) if isinstance(v, _Rationals)
             else [(x, math.copysign(1.0, x)) for x in v.tolist()])
-    interned.update(zip(filterfalse(interned.__contains__, dict.fromkeys(keys)),
-                        count(len(interned))))
-    return np.fromiter(map(interned.__getitem__, keys), np.intp, len(keys))
+    first = dict(zip(dict.fromkeys(keys), count()))
+    return np.fromiter(map(first.__getitem__, keys), np.intp, len(keys))
 
 
 def _solve_each(fam: ParametricFamily, a, b) -> tuple:
@@ -806,24 +799,28 @@ def _quadruples(pairs: np.ndarray, u: int):
 
 
 def _second_products(fam: ParametricFamily, values, pairs: np.ndarray) -> tuple:
-    """(second, seconds): each op(values[p], values[q]) that M3 asks for as
+    """(seconds, live): each op(values[p], values[q]) that M3 asks for as
     some (ab)(cd), evaluated once in ascending order of p * u + q, the key,
-    _KEY_CHUNK keys per _products call.  second[key] is its id, -1 where it
-    escapes or is not asked for; in float mode seconds[key] is its value."""
+    _KEY_CHUNK keys per _products call.  seconds[key] is its value, and
+    live[key] is False where it escapes or is not asked for.  An exact
+    table starts on int64 and turns to Python ints once, at the first
+    chunk whose parts were promoted."""
     u = len(values)
     wanted = np.zeros(u * u, dtype=bool)
     for keys, quads in _quadruples(pairs, u):
         wanted[keys[quads]] = True
-    keys = np.flatnonzero(wanted)
-    second = np.full(u * u, -1, dtype=np.intp)
-    seconds = np.empty(0 if fam.mode == "exact" else u * u)
-    interned, ops = {}, _operands(fam, values)
+    keys, live = np.flatnonzero(wanted), wanted   # live is set at every key asked for
+    seconds = (np.empty(u * u) if fam.mode == "float"
+               else _Rationals(np.zeros(u * u, np.int64), np.ones(u * u, np.int64)))
+    ops = _operands(fam, values)
     for at in range(0, keys.size, _KEY_CHUNK):
         chunk = keys[at:at + _KEY_CHUNK]
-        second[chunk], got = _products(fam, ops, chunk, u, interned)
-        if got is not None:
-            seconds[chunk] = got
-    return second, seconds
+        got, live[chunk] = _products(fam, ops, chunk, u)
+        if (isinstance(got, _Rationals) and got.num.dtype == object
+                and seconds.num.dtype != object):
+            seconds = _Rationals(seconds.num.astype(object), seconds.den.astype(object))
+        seconds[chunk] = got
+    return seconds, live
 
 
 def sampled_axiom_check(fam: ParametricFamily,
@@ -839,9 +836,10 @@ def sampled_axiom_check(fam: ParametricFamily,
     by _second_products those of two such products that M3's quadruples
     (a, b, c, d) ask for.  M3 scans blocks of rows a of _BLOCK_CELLS cells
     twice, to mark those keys and to compare (ab)(cd) with (ac)(bd), so
-    memory is O(u^2 + s^3 + _BLOCK_CELLS + _KEY_CHUNK) for u <= s^2
-    distinct products.  Float mode lifts each value once per stage.  M1 compares the
-    pair table with its transpose; M2 solves all live pairs in one
+    memory is one key-indexed table of u^2 values with its carrier mask,
+    for u <= s^2 distinct products, plus O(s^3 + _BLOCK_CELLS + _KEY_CHUNK).
+    Float mode lifts each value once per stage.  M1 compares the pair
+    table's ids with their transpose; M2 solves all live pairs in one
     _solve_each call, and in float mode evaluates x' op y for every solution
     x' in one more batch, the first escaping pair raising evaluate's
     ClosureError.  Every lookup of an escaped product counts one closure
@@ -855,7 +853,6 @@ def sampled_axiom_check(fam: ParametricFamily,
     i, j = np.nonzero(live)                   # the pairs (x, y), row-major
     xs, v = _array(fam, coerced), values[pairs[i, j]]
     got, ok = _solve_each(fam, xs[j], v)
-    m3 = True
     if exact:
         m1 = bool(live.all() and (pairs == pairs.T).all())   # interned ids
         m2 = bool(ok.all() and got.same(xs[i]).all())
@@ -881,15 +878,15 @@ def sampled_axiom_check(fam: ParametricFamily,
     # M3: each escaped ab, ac per live b; cd per live b, bd per live c
     closure += int(((s - nb) * (1 + nb)).sum() + 2 * (nb * escaped).sum())
     m3 = not ((nb > 0) & (escaped > 0)).any()
-    second, seconds = _second_products(fam, values, pairs)
+    seconds, ok = _second_products(fam, values, pairs)
     for keys, quads in _quadruples(pairs, u):
-        lhs, rhs = second[keys[quads]], second[keys.swapaxes(1, 2)[quads]]
-        closure += int((lhs < 0).sum() + (rhs < 0).sum())
-        both = (lhs >= 0) & (rhs >= 0)
+        lhs, rhs = keys[quads], keys.swapaxes(1, 2)[quads]
+        both = ok[lhs] & ok[rhs]
+        closure += int((~ok[lhs]).sum() + (~ok[rhs]).sum())
         m3 = m3 and bool(both.all())
         lhs, rhs = lhs[both], rhs[both]
         if exact:
-            m3 = m3 and bool((lhs == rhs).all())
+            m3 = m3 and bool(seconds[lhs].same(seconds[rhs]).all())
         elif lhs.size:
             top = float(np.abs(seconds[lhs] - seconds[rhs]).max())
             worst = max(worst, top)
@@ -904,25 +901,25 @@ def sampled_associativity(fam: ParametricFamily,
                           samples: Optional[Sequence[Number]] = None) -> bool:
     """Whether (ab)c = a(bc), exactly or within FLOAT_TOL, on every triple of
     samples where ab, bc and both sides stay in the carrier.  Both sides are
-    read through one _products call over the ids of the pair table's values
-    followed by the samples, each distinct pair of ids evaluated once; a
-    sample equal to a value takes the value's id."""
+    read through one _products call over the pair table's values followed
+    by the samples, each distinct pair of positions evaluated once; a
+    sample equal to a value takes the value's position."""
     pts, pairs, values = _pair_table(
         fam, samples if samples is not None else default_samples(fam, 8))
     vals = _array(fam, [*values, *pts])
-    seen = _intern({}, vals)                  # sid: where in vals each sample first is
+    seen = _intern(vals)                      # sid: where in vals each sample first is
     sid = np.unique(seen, return_index=True)[1][seen[len(values):]]
     w = len(vals)
     a, b, c = np.nonzero((pairs[:, :, None] >= 0) & (pairs[None, :, :] >= 0))
     keys, inv = np.unique(np.concatenate((pairs[a, b] * w + sid[c],
                                           sid[a] * w + pairs[b, c])), return_inverse=True)
-    ids, floats = _products(fam, _operands(fam, vals), keys, w, {})
+    got, ok = _products(fam, _operands(fam, vals), keys, w)
     lhs, rhs = inv.reshape(2, -1)
-    both = (ids[lhs] >= 0) & (ids[rhs] >= 0)
+    both = ok[lhs] & ok[rhs]
     lhs, rhs = lhs[both], rhs[both]
-    if floats is None:
-        return bool((ids[lhs] == ids[rhs]).all())
-    return bool((np.abs(floats[lhs] - floats[rhs]) <= FLOAT_TOL).all())
+    if fam.mode == "exact":
+        return bool(got[lhs].same(got[rhs]).all())
+    return bool((np.abs(got[lhs] - got[rhs]) <= FLOAT_TOL).all())
 
 
 # ---------------------------------------------------------------------------

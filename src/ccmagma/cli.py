@@ -183,7 +183,7 @@ def _cmd_relation(args):
     if outside:
         raise _UsageError(f"--subalgebra elements {outside} out of range "
                           f"0..{magma.order - 1}")
-    e = args.unit
+    e = _unit(args, magma)
     try:
         xset = _check_subalgebra_inputs(magma, seed, e)
     except _NotClosed as exc:

@@ -501,10 +501,10 @@ def test_m3_scan_memory_is_sliced():
     assert peak < 6_000_000, peak
 
 
-def test_every_family_peaks_under_4_mb_at_grid_16():
-    # the u x u tables of products of products, one block of quadruples and
-    # one chunk of keys; logsumexp-R peaked highest, at 3.03 MB, when M3
-    # evaluated one slice of quadruples per first element at a time
+def test_every_family_peaks_under_3_mb_at_grid_16():
+    # the key-indexed u x u table of products of products with its carrier
+    # mask, one block of quadruples and one chunk of keys; logsumexp-R
+    # peaks highest, at about 2.5 MB
     peaks = {}
     for fid, fam in sorted(CATALOG.items()):
         tracemalloc.start()
@@ -513,7 +513,7 @@ def test_every_family_peaks_under_4_mb_at_grid_16():
             peaks[fid] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert max(peaks.values()) < 4_000_000, peaks
+    assert max(peaks.values()) < 3_000_000, peaks
 
 
 def _m3_keys(pairs):
@@ -531,9 +531,9 @@ def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
     # call; logsumexp-R made 19 calls when M3 took one batch per slice
     calls = []
 
-    def counted(fam, ops, keys, u, interned, products=catalog._products):
+    def counted(fam, ops, keys, u, products=catalog._products):
         calls.append(keys.copy())
-        return products(fam, ops, keys, u, interned)
+        return products(fam, ops, keys, u)
 
     counts = {}
     for fid, fam in sorted(CATALOG.items()):
@@ -870,6 +870,54 @@ class TestSampledAxiomOracle:
             assert (sampled_axiom_check(fam, pts)
                     == brute_sampled_axiom_check(fam, pts)), fam
 
+    def test_m3_chunks_promote_after_int64_ones(self, monkeypatch):
+        # parts near 2**12 (2**28 on a lattice) keep the pair table's values
+        # on int64, while products of the larger products reach 2**31 and
+        # promote; ascending keys put the small products' chunks first.  On
+        # the last samples, values with numerators near 2**32 give products
+        # of products whose parts pass 2**63
+        wide = [F(0), F(1, 2), F(1), F(2), F(2 ** 12 + 1, 2 ** 12 - 1),
+                F(2 ** 12 - 3, 2 ** 13 + 1), F(2 ** 12 + 5), F(-2 ** 12 - 7, 3),
+                F(1, 2 ** 12 + 3)]
+        lattice = [F(0), F(1), F(2), F(3), F(2 ** 28 + 3)]
+        exact = [fam for fam in CATALOG.values() if fam.mode == "exact"]
+        beyond = (CATALOG["prodsum-R+"],
+                  [F(1, 2), F(1), F(2), F(46337, 23167), F(46333, 23169)])
+        cases = [(fam, [x for x in (lattice if fam.domain.integral else wide)
+                        if fam.domain.contains(x)]) for fam in exact] + [beyond]
+        promoted = []        # per _promoted call: whether it promoted
+
+        def recording(*parts, promote=catalog._promoted):
+            out = promote(*parts)
+            promoted.append(any(isinstance(p, np.ndarray) and p.dtype == object
+                                for p in out))
+            return out
+
+        chunks = []          # per _products call: whether any operation promoted
+
+        def counted(fam, ops, keys, u, products=catalog._products):
+            promoted.clear()
+            got = products(fam, ops, keys, u)
+            chunks.append(any(promoted))
+            return got
+
+        monkeypatch.setattr(catalog, "_KEY_CHUNK", 4)
+        monkeypatch.setattr(catalog, "_promoted", recording)
+        monkeypatch.setattr(catalog, "_products", counted)
+        for fam, pts in cases:
+            assert _pair_table(fam, pts)[2].num.dtype == np.int64, fam.id
+            chunks.clear()
+            assert sampled_axiom_check(fam, pts) == brute_sampled_axiom_check(fam, pts), fam.id
+            m3 = chunks[1:]
+            assert not m3[0] and any(m3), (fam.id, chunks)
+            assert (sampled_associativity(fam, pts)
+                    == brute_sampled_associativity(fam, pts)), fam.id
+        assert len(exact) == 24
+        fam, pts = beyond
+        _, pairs, values = _pair_table(fam, pts)
+        seconds, live = catalog._second_products(fam, values, pairs)
+        assert max(map(abs, seconds.num[live].tolist())) >= 2 ** 63
+
 
 def _random_exact_shape(rng):
     """One of the four exact shapes with random parameters, on a random
@@ -985,7 +1033,8 @@ class TestRationalArrays:
         with pytest.raises(ZeroDivisionError):
             _quotient(np.array([1, 2], dtype=dtype), np.array([3, 0], dtype=dtype))
 
-    def test_exact_families_at_grid_8_stay_on_int64(self, monkeypatch):
+    @pytest.mark.parametrize("grid", [8, 32])
+    def test_exact_families_stay_on_int64(self, grid, monkeypatch):
         # the pair table's values are int64 arrays, and no operation of the
         # check promotes its parts to Python ints: every product, solve and
         # carrier test runs on int64
@@ -999,9 +1048,9 @@ class TestRationalArrays:
         monkeypatch.setattr(catalog, "_promoted", recording)
         exact = [fam for fam in CATALOG.values() if fam.mode == "exact"]
         for fam in exact:
-            values = _pair_table(fam, default_samples(fam, 8))[2]
+            values = _pair_table(fam, default_samples(fam, grid))[2]
             assert values.num.dtype == values.den.dtype == np.int64, fam.id
-            sampled_axiom_check(fam, denominator=8)
+            sampled_axiom_check(fam, denominator=grid)
         assert len(exact) == 24 and promoted == []
         # where a part reaches 2**31, the operation runs on Python ints
         x = _stored([F(2 ** 31 - 1, 3)], np.int64)
@@ -1063,21 +1112,24 @@ class TestRationalArrays:
                 _rationals([F(1), F(1, 3)]), _rationals([F(1), F(-1, 3)]))
 
     def test_equal_products_share_an_id(self):
-        # all products of these values at once, as an M3 slice asks for
-        # them: equal ids exactly where the Fractions are equal, and -1
-        # where 3xy/(x+y) leaves [1/2, 2]
+        # the pair table of these samples: equal ids exactly where the
+        # Fractions are equal, -1 where 3xy/(x+y) leaves [1/2, 2], and
+        # each id names its product in values
         fam = ParametricFamily("h3", HarmonicFamily(3, Interval(F(1, 2), 2)),
                                "3ab/(a+b)", None, None, False)
-        values = [F(k, 6) for k in range(3, 13)]
-        u = len(values)
-        ids, _ = _products(fam, _rationals(values), np.arange(u * u), u, {})
-        want = [fam.shape.evaluate_raw(x, y) for x in values for y in values]
+        samples = [F(k, 6) for k in range(3, 13)]
+        u = len(samples)
+        _, table, values = _pair_table(fam, samples)
+        ids = table.ravel().tolist()
+        want = [fam.shape.evaluate_raw(x, y) for x in samples for y in samples]
         inside = [fam.domain.contains(w) for w in want]
         assert 0 < sum(inside) < len(want)
         assert [i >= 0 for i in ids] == inside
         for i, j in product(range(u * u), repeat=2):
             if inside[i] and inside[j]:
                 assert (ids[i] == ids[j]) == (want[i] == want[j])
+        values = list(values)
+        assert [values[i] for i in ids if i >= 0] == [w for w, ok in zip(want, inside) if ok]
 
     def test_batched_solves_match_scalar_solves(self):
         # solutions inside and outside the carrier, and zero divisors: where
@@ -1206,10 +1258,9 @@ class TestFloatArrays:
         want = [fam.shape.evaluate_raw(x, y) for x in vals for y in vals]
         # the batch never evaluates one product at a time
         monkeypatch.setattr(_Lifted, "evaluate_raw", None)
-        ids, floats = _products(fam, _operands(fam, vals), np.arange(u * u), u, {})
+        floats, live = _products(fam, _operands(fam, vals), np.arange(u * u), u)
         assert [v.hex() for v in floats.tolist()] == [w.hex() for w in want]
-        assert ids.tolist() == [k if fam.domain.contains(w) else -1
-                                for k, w in enumerate(want)]
+        assert live.tolist() == [fam.domain.contains(w) for w in want]
 
     def test_grids_never_evaluate_one_product_at_a_time(self, monkeypatch):
         # products, M2 solves and their residuals are batches: no float

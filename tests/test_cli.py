@@ -605,6 +605,8 @@ STDERR_CASES = {
          "error: bad --subalgebra '0,a'\n"),
         (["relation", "z9.tbl", "--subalgebra", "0,99", "--unit", "0"],
          "error: --subalgebra elements [99] out of range 0..8\n"),
+        (["relation", "z9.tbl", "--subalgebra", "0", "--unit", "99"],
+         "error: unit 99 out of range\n"),
         (["catalog", "--family", "nope"], UNKNOWN_FAMILY),
         (["check", "parse.tbl"], "error: line 2: entry 2 >= order 2\n"),
         (["check", "latin1.tbl"],
