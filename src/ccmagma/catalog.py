@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -88,15 +88,14 @@ class Interval:
             ok = np.isfinite(v)
             if self.integral:
                 ok &= v == np.floor(v)
-        for end, is_open, side in zip(self._ends, (self.lo_open, self.hi_open), (1, -1)):
+        for end, is_open, side in zip((self.lo, self.hi), (self.lo_open, self.hi_open), (1, -1)):
             if end is None:
                 continue
-            n, d = end
             if rational:
-                num, den, n, d = _promoted(v.num, v.den, n, d)
+                num, den, n, d = _promoted(v, end)
                 a, b, err = num * d, den * n, 0
             else:
-                a, (b, err) = v, _nearest_float(n, d)
+                a, (b, err) = v, _nearest_float(end.numerator, end.denominator)
             strict = side * err < 0 or (err == 0 and is_open)
             above = np.greater if strict else np.greater_equal
             ok &= above(a, b) if side > 0 else above(b, a)
@@ -145,15 +144,23 @@ def _parts(x):
 _SMALL = 1 << 31
 
 
-def _promoted(*parts) -> tuple:
-    """parts, int64 arrays and ints, as they are when each is below 2**31
-    in magnitude, so that a d + n b over four of them cannot wrap in int64;
-    else with every array an object array of Python ints.  Arrays are
-    bounded by min and max, as abs(-2**63) wraps."""
-    if all(-_SMALL < p < _SMALL if isinstance(p, int) else (p.dtype != object
-           and -_SMALL < p.min(initial=0) and p.max(initial=0) < _SMALL) for p in parts):
-        return parts
-    return tuple(p.astype(object) if isinstance(p, np.ndarray) else p for p in parts)
+def _promoted(*xs) -> tuple:
+    """The parts (num, den) of xs, rational arrays, Fractions and ints, as
+    they are when each is below 2**31 in magnitude on int64 (a d + n b then
+    cannot wrap), else with every array on Python ints.  An array with no
+    bound below 2**31 is measured by min and max, as abs(-2**63) wraps."""
+    bounded = [(p, getattr(x, "bound", None)) for x in xs for p in _parts(x)]
+    if all(-_SMALL < p < _SMALL if isinstance(p, int) else p.dtype != object and (
+           b is not None and b < _SMALL
+           or -_SMALL < p.min(initial=0) and p.max(initial=0) < _SMALL) for p, b in bounded):
+        return tuple(p for p, _ in bounded)
+    return tuple(p.astype(object) if isinstance(p, np.ndarray) else p for p, _ in bounded)
+
+
+def _bound(xs, k: int = 1, join=math.prod) -> Optional[int]:
+    """k times the join of bounds on the parts' magnitudes of each of xs, or None."""
+    bounds = [x.bound if isinstance(x, _Rationals) else max(map(abs, _parts(x))) for x in xs]
+    return None if None in bounds else k * join(bounds)
 
 
 def _ints(xs) -> np.ndarray:
@@ -164,20 +171,20 @@ def _ints(xs) -> np.ndarray:
         return np.array(xs, dtype=object)
 
 
-def _quotient(num, den, strict: bool = True) -> _Rationals:
+def _quotient(num, den, bound=None, strict: bool = True) -> _Rationals:
     if strict and not den.all():
         raise ZeroDivisionError("division by zero")
     neg = den < 0
     if neg.any():
         num, den = np.where(neg, -num, num), np.where(neg, -den, den)
-    return _Rationals(num, den)
+    return _Rationals(num, den, bound)
 
 
-def _arithmetic(parts, make=None):
-    """The operator giving make(*parts(a, b, n, d)) for self = a / b and
-    other = n / d, by default a _Rationals, on _promoted parts."""
+def _arithmetic(parts, k: int, make=None):
+    """The operator giving make(*parts(a, b, n, d), k P Q), by default a
+    _Rationals, for self = a / b and other = n / d with parts bounded by P, Q."""
     def op(self, other):
-        return (make or _Rationals)(*parts(*_promoted(self.num, self.den, *_parts(other))))
+        return (make or _Rationals)(*parts(*_promoted(self, other)), _bound((self, other), k))
     return op
 
 
@@ -185,32 +192,34 @@ class _Rationals:
     """num / den elementwise, as numpy arrays of ints with den > 0: int64
     arrays while each operation's parts are below 2**31 in magnitude, and
     otherwise promoted to object arrays of Python ints (_promoted), so no
-    integer can overflow.  + - * / take another such array or a Fraction or
-    int; results are reduced only by reduced()."""
-    __slots__ = ("num", "den")
+    integer can overflow.  bound is at least the magnitude of every part,
+    or None when unknown; each operation carries it.  + - * / take another
+    such array or a Fraction or int; results are reduced only by reduced()."""
+    __slots__ = ("num", "den", "bound")
 
-    def __init__(self, num, den):
-        self.num, self.den = num, den
+    def __init__(self, num, den, bound: Optional[int] = None):
+        self.num, self.den, self.bound = num, den, bound
 
-    __add__ = __radd__ = _arithmetic(lambda a, b, n, d: (a * d + n * b, b * d))
-    __sub__ = _arithmetic(lambda a, b, n, d: (a * d - n * b, b * d))
-    __rsub__ = _arithmetic(lambda a, b, n, d: (n * b - a * d, b * d))
-    __mul__ = __rmul__ = _arithmetic(lambda a, b, n, d: (a * n, b * d))
-    __truediv__ = _arithmetic(lambda a, b, n, d: (a * d, b * n), _quotient)
-    __rtruediv__ = _arithmetic(lambda a, b, n, d: (n * b, d * a), _quotient)
+    __add__ = __radd__ = _arithmetic(lambda a, b, n, d: (a * d + n * b, b * d), 2)
+    __sub__ = _arithmetic(lambda a, b, n, d: (a * d - n * b, b * d), 2)
+    __rsub__ = _arithmetic(lambda a, b, n, d: (n * b - a * d, b * d), 2)
+    __mul__ = __rmul__ = _arithmetic(lambda a, b, n, d: (a * n, b * d), 1)
+    __truediv__ = _arithmetic(lambda a, b, n, d: (a * d, b * n), 1, _quotient)
+    __rtruediv__ = _arithmetic(lambda a, b, n, d: (n * b, d * a), 1, _quotient)
 
     def __len__(self):
         return len(self.num)
 
     def __getitem__(self, k) -> _Rationals:
-        return _Rationals(self.num[k], self.den[k])
+        return _Rationals(self.num[k], self.den[k], self.bound)
 
     def __setitem__(self, k, other: _Rationals):
         self.num[k], self.den[k] = other.num, other.den
+        self.bound = _bound((self, other), join=max)
 
     def reduced(self) -> _Rationals:
         g = np.gcd(self.num, self.den)
-        return _Rationals(self.num // g, self.den // g)
+        return _Rationals(self.num // g, self.den // g, self.bound)
 
     def same(self, other: _Rationals) -> np.ndarray:
         """Elementwise equality of two reduced arrays."""
@@ -224,14 +233,22 @@ def _ratio(num, den):
     """A solver's num / den: None where den == 0, and on rational arrays a
     zero denominator there, which _solve_each reads as no solution."""
     if isinstance(den, _Rationals):
-        n, d, p, q = _promoted(*_parts(num), den.num, den.den)
-        return _quotient(n * q, d * p, strict=False)
+        n, d, p, q = _promoted(num, den)
+        return _quotient(n * q, d * p, _bound((num, den)), strict=False)
     return None if den == 0 else num / den
 
 
 def _exact(xs) -> _Rationals:
     """The rational array of a sequence of ints and Fractions."""
-    return _Rationals(_ints([x.numerator for x in xs]), _ints([x.denominator for x in xs]))
+    nums, dens = [x.numerator for x in xs], [x.denominator for x in xs]
+    return _Rationals(_ints(nums), _ints(dens), max(map(abs, nums + dens), default=0))
+
+
+def _joined(*xs):
+    """Rational arrays, or float64 arrays, end to end."""
+    if not isinstance(xs[0], _Rationals):
+        return np.concatenate(xs)
+    return _Rationals(*(np.concatenate(p) for p in zip(*map(_parts, xs))), _bound(xs, join=max))
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +405,19 @@ class TanhSumFamily:
         return (lambda x: (1 + x) / (1 - x)), image, None, None
 
 
-def _cbrt(v: float) -> float:
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
 def _each(f, *vs):
-    """f(*vs) for floats, or f of the entries of float64 arrays taken in step:
-    the scalar libm call either way, as numpy's vector kernels may differ in
-    the last bit, and an exception comes from the first entry raising it."""
+    """f(*vs) for floats, or f of the entries of float64 arrays (a float for
+    each entry) in step: the scalar libm call either way, as numpy's vector
+    kernels may differ in the last bit; the first entry to raise raises."""
     if isinstance(vs[0], np.ndarray):
-        return np.fromiter(map(f, *(v.tolist() for v in vs)), dtype=float, count=vs[0].size)
+        return np.fromiter(map(f, *(v.tolist() if isinstance(v, np.ndarray) else repeat(v)
+                                    for v in vs)), dtype=float, count=vs[0].size)
     return f(*vs)
+
+
+def _cbrt(v):
+    copysign = np.copysign if isinstance(v, np.ndarray) else math.copysign
+    return copysign(_each(pow, abs(v), 1.0 / 3.0), v)
 
 
 class _Lifted:
@@ -422,10 +441,10 @@ class CubeRootFamily(_Lifted):
     lift = staticmethod(lambda x: x ** 3)
 
     def join(self, a, b):
-        return self.scale * _each(_cbrt, (a + b) / self.div)
+        return self.scale * _cbrt((a + b) / self.div)
 
     def solve_raw(self, a, b):
-        return _each(lambda a, b: _cbrt((b / self.scale) ** 3 * self.div - a ** 3), a, b)
+        return _cbrt(_each(pow, b / self.scale, 3) * self.div - _each(pow, a, 3))
 
     def idempotent_elements(self):
         if self.scale ** 3 * 2 == self.div:
@@ -776,7 +795,7 @@ def _solve_each(fam: ParametricFamily, a, b) -> tuple:
         x = fam.shape.solve_raw(a, b)
     if fam.mode == "exact":
         some = x.den != 0
-        x = _Rationals(x.num, np.where(some, x.den, 1)).reduced()
+        x = _Rationals(x.num, np.where(some, x.den, 1), x.bound).reduced()
         return x, some & fam.domain.contains_each(x)
     return x, fam.domain.contains_each(x)
 
@@ -801,24 +820,24 @@ def _quadruples(pairs: np.ndarray, u: int):
 def _second_products(fam: ParametricFamily, values, pairs: np.ndarray) -> tuple:
     """(seconds, live): each op(values[p], values[q]) that M3 asks for as
     some (ab)(cd), evaluated once in ascending order of p * u + q, the key,
-    _KEY_CHUNK keys per _products call.  seconds[key] is its value, and
-    live[key] is False where it escapes or is not asked for.  An exact
-    table starts on int64 and turns to Python ints once, at the first
-    chunk whose parts were promoted."""
+    _KEY_CHUNK keys per _products call: all u^2 if every pair is live (each
+    id meets each in a quadruple), else those a pass over M3's blocks marks.
+    seconds[key] is its value, and live[key] is False where it escapes or is
+    not asked for.  An exact table turns from int64 to Python ints once."""
     u = len(values)
-    wanted = np.zeros(u * u, dtype=bool)
-    for keys, quads in _quadruples(pairs, u):
+    wanted = np.full(u * u, (pairs >= 0).all())
+    for keys, quads in () if wanted.all() else _quadruples(pairs, u):
         wanted[keys[quads]] = True
     keys, live = np.flatnonzero(wanted), wanted   # live is set at every key asked for
     seconds = (np.empty(u * u) if fam.mode == "float"
-               else _Rationals(np.zeros(u * u, np.int64), np.ones(u * u, np.int64)))
+               else _Rationals(np.zeros(u * u, np.int64), np.ones(u * u, np.int64), 1))
     ops = _operands(fam, values)
     for at in range(0, keys.size, _KEY_CHUNK):
         chunk = keys[at:at + _KEY_CHUNK]
         got, live[chunk] = _products(fam, ops, chunk, u)
         if (isinstance(got, _Rationals) and got.num.dtype == object
                 and seconds.num.dtype != object):
-            seconds = _Rationals(seconds.num.astype(object), seconds.den.astype(object))
+            seconds = _Rationals(*(p.astype(object) for p in _parts(seconds)), seconds.bound)
         seconds[chunk] = got
     return seconds, live
 
@@ -833,11 +852,11 @@ def sampled_axiom_check(fam: ParametricFamily,
 
     Each stage is a batch, and each distinct ordered product is evaluated
     once per call by _products: products of samples in _pair_table, then
-    by _second_products those of two such products that M3's quadruples
-    (a, b, c, d) ask for.  M3 scans blocks of rows a of _BLOCK_CELLS cells
-    twice, to mark those keys and to compare (ab)(cd) with (ac)(bd), so
-    memory is one key-indexed table of u^2 values with its carrier mask,
-    for u <= s^2 distinct products, plus O(s^3 + _BLOCK_CELLS + _KEY_CHUNK).
+    by _second_products those that M3's quadruples (a, b, c, d) ask for.
+    M3 gathers (ab)(cd) once per block of rows a of _BLOCK_CELLS cells and
+    compares it with its (ac)(bd) view, so memory is one key-indexed table
+    of u^2 values with its carrier mask, for u <= s^2 distinct products,
+    plus O(s^3 + _BLOCK_CELLS + _KEY_CHUNK).
     Float mode lifts each value once per stage.  M1 compares the pair
     table's ids with their transpose; M2 solves all live pairs in one
     _solve_each call, and in float mode evaluates x' op y for every solution
@@ -879,16 +898,18 @@ def sampled_axiom_check(fam: ParametricFamily,
     closure += int(((s - nb) * (1 + nb)).sum() + 2 * (nb * escaped).sum())
     m3 = not ((nb > 0) & (escaped > 0)).any()
     seconds, ok = _second_products(fam, values, pairs)
-    for keys, quads in _quadruples(pairs, u):
-        lhs, rhs = keys[quads], keys.swapaxes(1, 2)[quads]
-        both = ok[lhs] & ok[rhs]
-        closure += int((~ok[lhs]).sum() + (~ok[rhs]).sum())
-        m3 = m3 and bool(both.all())
-        lhs, rhs = lhs[both], rhs[both]
-        if exact:
-            m3 = m3 and bool(seconds[lhs].same(seconds[rhs]).all())
-        elif lhs.size:
-            top = float(np.abs(seconds[lhs] - seconds[rhs]).max())
+    for keys, quads in _quadruples(pairs, u) if u else ():   # at u = 0 none is live
+        # quads is symmetric under b <-> c, which swaps (ab)(cd) and (ac)(bd)
+        keys = np.where(quads, keys, 0)
+        live = quads & ok[keys]
+        dead = int((quads & ~live).sum())
+        closure, m3 = closure + 2 * dead, m3 and not dead
+        if exact:     # with no dead side, equal sides are equal parts
+            m3 = m3 and all((p == p.swapaxes(1, 2)).all() for p in _parts(seconds[keys]))
+        else:
+            got, both = seconds[keys], live & live.swapaxes(1, 2)
+            got = np.subtract(got, got.swapaxes(1, 2), out=np.zeros_like(got), where=both)
+            top = float(np.abs(got).max())
             worst = max(worst, top)
             m3 = m3 and top <= FLOAT_TOL
 
@@ -1003,14 +1024,13 @@ def _classify(fam: ParametricFamily, pts: list, coerced: list, pairs: np.ndarray
     s, u = len(coerced), len(values)
     total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
     xs, es = _array(fam, coerced), _array(fam, [e] * max(s, u))
-    solved = [_solve_each(fam, a, b)[1]
-              for a, b in ((es[:s], xs), (xs, es[:s]), (es[:u], values))]
+    solved = _solve_each(fam, _joined(es[:s], xs, es[:u]), _joined(xs, es[:s], values))[1]
     expansive, ev_exp = _flag_with_evidence(
-        fam, "expansive", total[0], solved[0], lambda k: f"a={pts[k]}")
+        fam, "expansive", total[0], solved[:s], lambda k: f"a={pts[k]}")
     symmetric, ev_sym = _flag_with_evidence(
-        fam, "symmetric", total[1], solved[1], lambda k: f"a={pts[k]}")
+        fam, "symmetric", total[1], solved[s:2 * s], lambda k: f"a={pts[k]}")
     monoid, ev_mon = _flag_with_evidence(                # False at id -1
-        fam, "monoid", total[2], np.append(solved[2], False)[pairs.ravel()],
+        fam, "monoid", total[2], np.append(solved[2 * s:], False)[pairs.ravel()],
         lambda k: f"pair=({pts[k // s]},{pts[k % s]})")
     label = classify(expansive, symmetric, monoid, monoid and symmetric)
     matches = None if fam.expected_label is None else (label.label == fam.expected_label)

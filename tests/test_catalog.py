@@ -551,6 +551,45 @@ def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
     assert sum(counts.values()) == 66
 
 
+def test_a_check_with_a_unit_solves_in_two_batches(monkeypatch):
+    # M2's solves, then the classification's expansive, symmetric and theta
+    # solves joined in one batch; four batches when each kind took its own
+    calls = []
+
+    def counted(fam, a, b, solve_each=catalog._solve_each):
+        calls.append(len(a))
+        return solve_each(fam, a, b)
+
+    monkeypatch.setattr(catalog, "_solve_each", counted)
+    units = [fam for fam in CATALOG.values() if fam.unit is not None]
+    for fam in units:
+        calls.clear()
+        pts, pairs, values = _pair_table(fam, default_samples(fam, 8))
+        sampled_axiom_check(fam, pts)
+        live = (pairs >= 0) & (pairs.T >= 0)
+        assert calls == [int(live.sum()), 2 * len(pts) + len(values)], fam.id
+    assert len(units) == 19
+
+
+def test_m3_marks_its_keys_only_where_a_pair_escapes(monkeypatch):
+    # where every pair of samples is live, every key is asked for, so no
+    # pass over the quadruples marks them
+    passes = []
+
+    def counted(pairs, u, quadruples=catalog._quadruples):
+        passes.append(u)
+        return quadruples(pairs, u)
+
+    monkeypatch.setattr(catalog, "_quadruples", counted)
+    for fam, every in ((CATALOG["midpoint-R"], True), (CATALOG["logsumexp-R"], True),
+                       (NON_CLOSED[0], False), (NON_CLOSED[2], False)):
+        passes.clear()
+        _, pairs, values = _pair_table(fam, default_samples(fam, 4))
+        catalog._second_products(fam, values, pairs)
+        assert bool((pairs >= 0).all()) is every, fam.id
+        assert len(passes) == (0 if every else 1), fam.id
+
+
 NON_CLOSED = [
     ParametricFamily("affine-[0,1]:1,0", AffineFamily(1, 0, Interval(0, 1)),
                      "a+b", None, None, True),
@@ -642,8 +681,45 @@ class LeakySumShape:
         return b - a
 
 
+@dataclass(frozen=True)
+class UnitFractionShape:
+    """x op y = x^2 y^2 / (x^2 + y^2) on ]0, 1]: 1/p op 1/q = 1/(p^2 + q^2),
+    so on unit fractions every product, and every product of products, has
+    numerator 1.  Commutative, neither medial nor associative: the two
+    sides of a failing M3 or associativity case differ in their
+    denominators alone.  Its solver answers b, which M2 refutes."""
+    domain: Interval = Interval(0, 1, lo_open=True)
+    mode = "exact"
+
+    def evaluate_raw(self, x, y):
+        return x * x * y * y / (x * x + y * y)
+
+    def solve_raw(self, a, b):
+        return b
+
+
+UNIT_FRACTIONS = ParametricFamily("unit-fractions", UnitFractionShape(),
+                                  "a^2b^2/(a^2+b^2)", None, None, False)
+
+
 def _floats(pairs):
     return frozenset((float(x), float(y)) for x, y in pairs)
+
+
+# TrapShape samples and the ordered pairs of them whose products stay in the
+# carrier: none (u = 0), one (u = 1), and three with the one product 0 (u = 1)
+FEW_LIVE_SAMPLES = [F(-1), F(1, 2), F(0), F(1)]
+FEW_LIVE = [frozenset(), frozenset({(F(0), F(0))}),
+            frozenset({(F(0), F(0)), (F(-1), F(1)), (F(1), F(-1))})]
+
+
+def _few_live(exact, kept):
+    """A TrapShape family, exact or float, whose products of samples in
+    FEW_LIVE_SAMPLES all escape but those of the pairs in kept."""
+    dead = frozenset(product(FEW_LIVE_SAMPLES, repeat=2)) - kept
+    shape = TrapShape(frozenset(), dead) if exact else FloatTrapShape(frozenset(), _floats(dead))
+    return (ParametricFamily("few-live", shape, "(a+b)/3", None, None, False),
+            FEW_LIVE_SAMPLES if exact else list(map(float, FEW_LIVE_SAMPLES)))
 
 
 TRAPS = [
@@ -783,6 +859,27 @@ class TestSampledAxiomOracle:
         rep = sampled_axiom_check(fam, samples)
         assert not rep.m3_ok and rep.closure_violations > 0
         assert rep == brute_sampled_axiom_check(fam, samples)
+
+    @pytest.mark.parametrize("kept", FEW_LIVE, ids=["u0", "u1", "u1-three-pairs"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_m3_with_no_or_one_live_product(self, exact, kept):
+        # M3 reads every dead quadruple's key as 0: at u = 0 there is no
+        # key 0, at u = 1 it is the one live product's
+        fam, pts = _few_live(exact, kept)
+        pairs, values = _pair_table(fam, pts)[1:]
+        assert len(values) == min(1, len(kept)) and int((pairs >= 0).sum()) == len(kept)
+        assert sampled_axiom_check(fam, pts) == brute_sampled_axiom_check(fam, pts)
+
+    def test_m3_sides_equal_in_numerators_alone_are_unequal(self):
+        # every (ab)(cd) has numerator 1, so comparing numerators alone
+        # would find the shape medial
+        pts = [F(1, k) for k in range(1, 5)]
+        _, pairs, values = _pair_table(UNIT_FRACTIONS, pts)
+        seconds, live = catalog._second_products(UNIT_FRACTIONS, values, pairs)
+        assert live.all() and (seconds.num == 1).all()
+        rep = sampled_axiom_check(UNIT_FRACTIONS, pts)
+        assert (rep.m1_ok, rep.m2_ok, rep.m3_ok) == (True, False, False)
+        assert rep == brute_sampled_axiom_check(UNIT_FRACTIONS, pts)
 
     def test_a_zero_sample_divides_by_zero_in_the_geometric_solver(self):
         # b^2 / a at a = 0.0: M2 solves with a zero sample as a, and so do
@@ -983,6 +1080,24 @@ STORAGES = pytest.mark.parametrize("dtype,bits", [(np.int64, 63), (object, 70)],
                                    ids=["int64", "object"])
 
 
+def _part_near_2_31(rng, top):
+    """A positive part up to top: small, drawn up to top, or within 2 of
+    2**31 where top is 2**31."""
+    near = 2 ** 31 + rng.randint(-2, 0 if top == 2 ** 31 else 2)
+    return rng.choice((rng.randint(1, 9), rng.randint(1, top), near if top >= 2 ** 31 else 1))
+
+
+def _min_max_promoted(*parts):
+    """The promotion rule with every array measured by min and max: parts,
+    int64 arrays and ints, as they are when each is below 2**31 in
+    magnitude, else with every array an object array."""
+    if all(-2 ** 31 < p < 2 ** 31 if isinstance(p, int) else (
+           p.dtype != object and -2 ** 31 < p.min(initial=0) and p.max(initial=0) < 2 ** 31)
+           for p in parts):
+        return parts
+    return tuple(p.astype(object) if isinstance(p, np.ndarray) else p for p in parts)
+
+
 class TestRationalArrays:
     """The rational arrays of the vectorised M3 path against Fraction
     arithmetic, one entry at a time."""
@@ -1055,6 +1170,63 @@ class TestRationalArrays:
         # where a part reaches 2**31, the operation runs on Python ints
         x = _stored([F(2 ** 31 - 1, 3)], np.int64)
         assert (x * x).num.dtype == np.int64 and (x * 2 ** 31).num.dtype == object
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_carried_bounds_hold_and_promote_as_min_and_max_do(self, seed, monkeypatch):
+        # operands with parts around 2**31 and up to 2**62 whose bounds are
+        # exact (_exact), loose (results of results) or unknown: each
+        # _promoted call chooses int64 or object as measuring every part by
+        # min and max does, and no bound falls below a part
+        calls = []                # per _promoted call: (bounds known, promoted)
+
+        def checked(*xs, promote=catalog._promoted):
+            out = promote(*xs)
+            want = _min_max_promoted(*(p for x in xs for p in catalog._parts(x)))
+            dtypes = [[getattr(p, "dtype", None) for p in ps] for ps in (out, want)]
+            assert dtypes[0] == dtypes[1], dtypes
+            calls.append((all(getattr(x, "bound", 0) is not None for x in xs),
+                          object in dtypes[0]))
+            return out
+
+        def bounded(r):
+            parts = r.num.tolist() + r.den.tolist()
+            assert r.bound is None or r.bound >= max(map(abs, parts), default=0)
+            return r
+
+        def operand(rng, zero=True):
+            top = rng.choice((2 ** 10, 2 ** 31, 2 ** 62))
+            xs = [F(rng.choice((-1, 1)) * _part_near_2_31(rng, top), _part_near_2_31(rng, top))
+                  for _ in range(8)]
+            if zero:
+                xs[rng.randrange(8)] = F(0)
+            r = catalog._exact(xs)
+            return r if rng.random() < 0.7 else _Rationals(r.num, r.den)   # bound unknown
+
+        monkeypatch.setattr(catalog, "_promoted", checked)
+        rng = random.Random(seed)
+        for _ in range(8):
+            xs, d, c = [operand(rng) for _ in range(3)], operand(rng, False), rng.choice(WIDE_SCALARS)
+            # a sum of two of these nears twice the product of their bounds
+            xs.append(catalog._exact([F(2 ** 40 + 1, 2 ** 40)] * 8))
+            got = [op(x, y) for x in xs for y in (*xs, c)
+                   for op in (operator.add, operator.sub, operator.mul)]
+            got += [op(c, x) for x in xs for op in (operator.add, operator.sub, operator.mul)]
+            got += [x / d for x in xs] + [x / c for x in xs] + [c / d, _ratio(c, d)]
+            for r in got:
+                r = bounded(bounded(r).reduced())
+                bounded(r[2:6])
+                bounded(r * r - r / d)              # bounds of results of results
+                table = _Rationals(*(p.astype(object) for p in catalog._parts(xs[0])),
+                                   xs[0].bound)
+                table[::2] = r[:4]
+                bounded(table)
+                for iv in WIDE_CARRIERS:
+                    iv.contains_each(r)
+            for num in (*xs, c):                     # zero divisors leave den 0
+                bounded(_ratio(num, xs[1]))
+        known = [promoted for bounds, promoted in calls if bounds]
+        assert len(known) > 1000 and True in known and False in known
+        assert len(known) < len(calls)
 
     def test_arithmetic_with_arrays_and_scalars(self):
         rng = random.Random(5)
@@ -1262,6 +1434,41 @@ class TestFloatArrays:
         assert [v.hex() for v in floats.tolist()] == [w.hex() for w in want]
         assert live.tolist() == [fam.domain.contains(w) for w in want]
 
+    def test_cube_roots_match_the_scalar_formula(self):
+        # join and solve_raw of the cube-root shapes on arrays, against
+        # copysign(|v| ** (1/3), v) with Python float cubes one entry at a
+        # time, bit for bit: random values, signed zeros, infinities, nans
+        # and subnormals
+        rng = random.Random(47)
+        odd = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1e-310, 1e-300, -1e300]
+        vals = np.array(odd + [rng.choice((1, -1)) * (rng.uniform(0, 1e3) if k % 2 else
+                                                      math.ldexp(rng.random(), rng.randint(-1074, 1023)))
+                               for k in range(6000)])
+
+        def cbrt(v):
+            return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+        def bits(xs):
+            return np.asarray(xs, dtype=float).view(np.uint64).tolist()
+
+        assert bits(catalog._cbrt(vals)) == bits([cbrt(v) for v in vals.tolist()])
+        a, b = np.array_split(vals[np.abs(vals) < 1e100], 2)      # cubes stay finite
+        b = b[:len(a)]
+        for fam in FLOAT_FAMILIES:
+            if isinstance(fam.shape, CubeRootFamily):
+                k, q = fam.shape.scale, fam.shape.div
+                with np.errstate(all="ignore"):
+                    joined, solved = fam.shape.join(a, b), fam.shape.solve_raw(a, b)
+                pairs = list(zip(a.tolist(), b.tolist()))
+                assert bits(joined) == bits([k * cbrt((x + y) / q) for x, y in pairs])
+                assert bits(solved) == bits([cbrt((y / k) ** 3 * q - x ** 3) for x, y in pairs])
+                for x, y in ((1.0, 1e110), (1e110, 1.0)):
+                    for args in ((x, y), (np.array([0.5, x]), np.array([0.5, y]))):
+                        with pytest.raises(OverflowError,
+                                           match=r"^\(34, 'Numerical result out of range'\)$"):
+                            fam.shape.solve_raw(*args)
+
     def test_grids_never_evaluate_one_product_at_a_time(self, monkeypatch):
         # products, M2 solves and their residuals are batches: no float
         # family reaches evaluate_raw, nor the checked evaluate
@@ -1346,6 +1553,11 @@ class TestBlockAndChunkEdges:
                 monkeypatch.setattr(catalog, "_BLOCK_CELLS", cells)
                 monkeypatch.setattr(catalog, "_KEY_CHUNK", keys)
                 assert sampled_axiom_check(fam, denominator=denominator) == want, (cells, keys)
+
+    @pytest.mark.parametrize("kept", FEW_LIVE, ids=["u0", "u1", "u1-three-pairs"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_m3_with_no_or_one_live_product(self, exact, kept, caps):
+        TestSampledAxiomOracle().test_m3_with_no_or_one_live_product(exact, kept)
 
     @pytest.mark.parametrize("trap", TRAPS)
     def test_second_level_exception_comes_from_the_same_product(self, trap, caps):
@@ -1502,6 +1714,12 @@ class TestAssociativityMetadata:
                                "a+b", None, None, True)
         pts = [F(-1), F(-1, 2), F(0), F(1, 2), F(1)]
         assert sampled_associativity(fam, pts) is brute_sampled_associativity(fam, pts) is True
+
+    def test_sides_equal_in_numerators_alone_are_unequal(self):
+        # (ab)c and a(bc) both have numerator 1 on unit fractions
+        pts = [F(1, k) for k in range(1, 5)]
+        fam = UNIT_FRACTIONS
+        assert sampled_associativity(fam, pts) is brute_sampled_associativity(fam, pts) is False
 
     def test_sampled_associativity_evaluates_each_product_once(self, monkeypatch):
         # sum-R at grid 8: the 11^2 sample products in one call, then (ab)c
