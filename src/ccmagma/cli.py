@@ -8,7 +8,9 @@ size whose arrays would pass MAX_CELLS, or a command that ran out of memory.
 only the chosen subcommand's parser and keeps no state between calls.
 `main` times each command and writes every report, summary and error line;
 a handler only computes, and returns (status, report fields, summary) or
-raises _UsageError or _ErrorReport.  Each command imports what it uses when
+raises _UsageError or _ErrorReport.  A command that loads a table records
+its `input` and `order` in `_load`, and `main` adds them to every report of
+the command, error reports included.  Each command imports what it uses when
 it runs: check, generate and extract-group load `core` and `generation`,
 classify adds `structures`, relation loads `core` and `relations`, and
 catalog `catalog`, `core` and `structures`.  `--version`, `--help` and
@@ -57,28 +59,31 @@ def _check_cap(flag: str, value: int, cells: int) -> None:
                           f"over the cap of {MAX_CELLS}")
 
 
-def _load(path: str) -> tuple[FiniteMagma, dict]:
+def _load(args) -> FiniteMagma:
+    """Parse the table at args.path and record its `input` and `order` as
+    args.loaded, which main puts in every report of the command."""
     from .core import ParseError, parse_magma
-    data = Path(path).read_bytes()
+    data = Path(args.path).read_bytes()
     try:
         magma = parse_magma(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"{path} is not UTF-8 text: {exc}") from None
+        raise _UsageError(f"{args.path} is not UTF-8 text: {exc}") from None
     except ParseError as exc:
         raise _UsageError(str(exc)) from None
-    return magma, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    args.loaded = {"input": {"path": args.path, "sha256": hashlib.sha256(data).hexdigest()},
+                   "order": magma.order}
+    return magma
 
 
-def _load_ccm(args) -> tuple[FiniteMagma, dict]:
-    """Load args.path; the not-a-ccm-magma report when it fails the axioms."""
+def _load_ccm(args) -> FiniteMagma:
+    """_load; the not-a-ccm-magma report when the table fails the axioms."""
     from .core import check_axioms
-    magma, source = _load(args.path)
+    magma = _load(args)
     rep = check_axioms(magma)
     if not rep.is_ccm:
-        raise _ErrorReport({"input": source, "order": magma.order,
-                            "error": {"kind": "not-a-ccm-magma", "axioms": rep.to_dict()}},
+        raise _ErrorReport({"error": {"kind": "not-a-ccm-magma", "axioms": rep.to_dict()}},
                            f"{args.command} {args.path}: input fails the axioms")
-    return magma, source
+    return magma
 
 
 def _unit(args, magma: FiniteMagma) -> int:
@@ -90,7 +95,7 @@ def _unit(args, magma: FiniteMagma) -> int:
 def _cmd_check(args):
     from .core import check_axioms, idempotent_subalgebra
     from .generation import idempotent_parity_audit
-    magma, source = _load(args.path)
+    magma = _load(args)
     rep = check_axioms(magma)
     body = rep.to_dict()
     body["idempotent_count"] = len(rep.idempotents)
@@ -98,7 +103,7 @@ def _cmd_check(args):
     if rep.is_ccm:
         body["idempotent_subalgebra"] = list(idempotent_subalgebra(magma))
     return (EXIT_OK if rep.is_ccm else EXIT_VIOLATION,
-            {"input": source, "order": magma.order, "results": body},
+            {"results": body},
             f"check {args.path}: order {magma.order}, ccm={rep.is_ccm}, "
             f"associative={rep.associative}, idempotents={list(rep.idempotents)}")
 
@@ -106,21 +111,19 @@ def _cmd_check(args):
 def _cmd_classify(args):
     from .generation import extract_group, invariant_factors
     from .structures import NotIdempotentError, classify_finite
-    magma, source = _load_ccm(args)
+    magma = _load_ccm(args)
     e = _unit(args, magma)
     try:
         label = classify_finite(magma, e)
     except NotIdempotentError as exc:
-        raise _ErrorReport({"input": source, "order": magma.order,
-                            "error": {"kind": "unit-not-idempotent", "message": str(exc)}},
+        raise _ErrorReport({"error": {"kind": "unit-not-idempotent", "message": str(exc)}},
                            f"classify {args.path}: {exc}")
-    results = {"unit": e, "expansive": label.expansive, "symmetric": label.symmetric,
-               "monoid": label.monoid, "group": label.group, "label": label.label}
+    results = {"unit": e, **vars(label)}
     if label.group:
         # at an idempotent unit the extracted group is the internal monoid
         results["group_invariant_factors"] = invariant_factors(
             extract_group(magma, e))
-    return (EXIT_OK, {"input": source, "order": magma.order, "results": results},
+    return (EXIT_OK, {"results": results},
             f"classify {args.path} at unit {e}: label {label.label}")
 
 
@@ -149,7 +152,7 @@ def _cmd_generate(args):
 def _cmd_extract_group(args):
     from .core import format_magma
     from .generation import extract_group, invariant_factors
-    magma, source = _load_ccm(args)
+    magma = _load_ccm(args)
     e = _unit(args, magma)
     warning = None
     if magma.arr[e, e] != e:
@@ -158,8 +161,7 @@ def _cmd_extract_group(args):
         print(f"warning: {warning}", file=sys.stderr)
     star = extract_group(magma, e)
     if star is None:
-        raise _ErrorReport({"input": source, "order": magma.order,
-                            "error": {"kind": "not-a-group"}},
+        raise _ErrorReport({"error": {"kind": "not-a-group"}},
                            "extract-group: verification failed")
     factors = invariant_factors(star)
     text = format_magma(star)
@@ -167,14 +169,14 @@ def _cmd_extract_group(args):
         Path(args.out).write_text(text, encoding="utf-8")
     results = {"unit": e, "invariant_factors": factors, "group_table": text,
                "warning": warning}
-    return (EXIT_OK, {"input": source, "order": magma.order, "results": results},
+    return (EXIT_OK, {"results": results},
             f"extract-group at {e}: invariant factors {factors}")
 
 
 def _cmd_relation(args):
     from .relations import (_NotClosed, _check_subalgebra_inputs, _induced,
                             _transitivity_criterion, format_relation)
-    magma, source = _load_ccm(args)
+    magma = _load_ccm(args)
     try:
         seed = sorted({int(p) for p in args.subalgebra.split(",") if p.strip()})
     except ValueError:
@@ -188,13 +190,11 @@ def _cmd_relation(args):
         xset = _check_subalgebra_inputs(magma, seed, e)
     except _NotClosed as exc:
         closure = list(exc.closure)
-        raise _ErrorReport({"input": source, "order": magma.order,
-                            "error": {"kind": "not-closed", "seed": seed,
+        raise _ErrorReport({"error": {"kind": "not-closed", "seed": seed,
                                       "closure_hint": closure}},
                            f"relation: {seed} is not closed; closure is {closure}")
     except ValueError as exc:
-        raise _ErrorReport({"input": source, "order": magma.order,
-                            "error": {"kind": "bad-unit", "message": str(exc)}},
+        raise _ErrorReport({"error": {"kind": "bad-unit", "message": str(exc)}},
                            f"relation: {exc}")
     rel = _induced(magma, xset, e)
     internal, _ = rel.is_internal()
@@ -210,7 +210,7 @@ def _cmd_relation(args):
                "relation": format_relation(rel)}
     if congruence:
         results["classes"] = len(rel.classes())
-    return (EXIT_OK, {"input": source, "order": magma.order, "results": results},
+    return (EXIT_OK, {"results": results},
             f"relation on {args.path} with X={seed}, e={e}: "
             f"congruence={congruence}")
 
@@ -326,7 +326,8 @@ def main(argv=None) -> int:
             status, fields, summary = args.fn(args)
         except _ErrorReport as exc:
             status, (fields, summary) = EXIT_VIOLATION, exc.args
-        report = {"schema": SCHEMA, "command": args.command, **fields,
+        report = {"schema": SCHEMA, "command": args.command,
+                  **getattr(args, "loaded", {}), **fields,
                   "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3)}
         print(json.dumps(report, indent=2, sort_keys=True))
         if not (args.quiet or args.json):

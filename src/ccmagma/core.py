@@ -175,20 +175,9 @@ class AxiomReport:
         return self.commutative and self.cancellative and self.medial
 
     def to_dict(self) -> dict:
-        def ce(t):
-            return list(t) if t is not None else None
-        return {
-            "commutative": self.commutative,
-            "commutative_counterexample": ce(self.commutative_counterexample),
-            "cancellative": self.cancellative,
-            "cancellative_counterexample": ce(self.cancellative_counterexample),
-            "medial": self.medial,
-            "medial_counterexample": ce(self.medial_counterexample),
-            "associative": self.associative,
-            "associative_counterexample": ce(self.associative_counterexample),
-            "idempotents": list(self.idempotents),
-            "is_ccm": self.is_ccm,
-        }
+        """The fields, tuples as lists, plus is_ccm."""
+        return {**{k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()},
+                "is_ccm": self.is_ccm}
 
 
 def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:

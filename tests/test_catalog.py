@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -789,16 +790,25 @@ def _first_row_error(fam, pts):
     raise AssertionError(f"no bad sample in {pts}")
 
 
+@pytest.fixture(scope="session")
+def grid_oracle():
+    """brute_sampled_axiom_check(CATALOG[fid], denominator=d) by (fid, d),
+    computed once for the two catalog-grid tests that compare with it.  The
+    oracle reads no cap of the check, so both tests want the same value; it
+    is not memoised itself, because other tests run it on patched shapes."""
+    return cache(lambda fid, d: brute_sampled_axiom_check(CATALOG[fid], denominator=d))
+
+
 class TestSampledAxiomOracle:
     """The memoised check against the one-evaluation-per-call-site loop,
     every SampleReport field compared."""
 
     @pytest.mark.parametrize("fid", sorted(CATALOG))
-    def test_catalog_grids(self, fid):
+    def test_catalog_grids(self, fid, grid_oracle):
         fam = CATALOG[fid]
         for denominator in range(2, 7):
             assert (sampled_axiom_check(fam, denominator=denominator)
-                    == brute_sampled_axiom_check(fam, denominator=denominator))
+                    == grid_oracle(fid, denominator))
 
     def test_geometric_random_samples(self):
         import random
@@ -1545,10 +1555,10 @@ class TestBlockAndChunkEdges:
         monkeypatch.setattr(catalog, "_KEY_CHUNK", request.param[1])
 
     @pytest.mark.parametrize("fid", sorted(CATALOG))
-    def test_catalog_grids(self, fid, monkeypatch):
+    def test_catalog_grids(self, fid, monkeypatch, grid_oracle):
         fam = CATALOG[fid]
         for denominator in range(2, 7):
-            want = brute_sampled_axiom_check(fam, denominator=denominator)
+            want = grid_oracle(fid, denominator)
             for cells, keys in EDGE_CAPS:
                 monkeypatch.setattr(catalog, "_BLOCK_CELLS", cells)
                 monkeypatch.setattr(catalog, "_KEY_CHUNK", keys)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -588,7 +589,7 @@ NOT_IDEMPOTENT_WARNING = ("warning: unit 1 is not idempotent: the extracted grou
                           "valid but does not come from an internal monoid\n")
 
 # argv -> (exit status, error kind or None, stderr with the summary,
-# stderr under --json); the tables are written by TestStderr.tables
+# stderr under --json); the tables are written by the tables fixture
 STDERR_CASES = {
     # usage errors: no report, the same error line with and without --json
     **{" ".join(argv): (2, None, err, err) for argv, err in [
@@ -677,18 +678,19 @@ class _Unwritable(io.StringIO):
         raise self.exc
 
 
+@pytest.fixture
+def tables(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f5.tbl").write_text(format_magma(F5A))
+    (tmp_path / "z9.tbl").write_text(format_magma(Z9A))
+    (tmp_path / "bad.tbl").write_text(NON_MEDIAL_4_TEXT)
+    (tmp_path / "parse.tbl").write_text("2\n0 2\n2 1\n")
+    (tmp_path / "latin1.tbl").write_bytes(b"# \xe9\xe9\n1\n0\n")
+
+
 class TestStderr:
     """The exact stderr and exit status of every outcome, plain and under
     --json: the golden corpus pins stdout alone."""
-
-    @pytest.fixture
-    def tables(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "f5.tbl").write_text(format_magma(F5A))
-        (tmp_path / "z9.tbl").write_text(format_magma(Z9A))
-        (tmp_path / "bad.tbl").write_text(NON_MEDIAL_4_TEXT)
-        (tmp_path / "parse.tbl").write_text("2\n0 2\n2 1\n")
-        (tmp_path / "latin1.tbl").write_bytes(b"# \xe9\xe9\n1\n0\n")
 
     @pytest.mark.parametrize("json_flag", [False, True], ids=["plain", "json"])
     @pytest.mark.parametrize("case", list(STDERR_CASES))
@@ -723,6 +725,40 @@ class TestStderr:
         monkeypatch.setattr(sys, "stdout", _Unwritable(exc))
         code = main(["--json"] * json_flag + ["check", "f5.tbl"])
         assert (code, capsys.readouterr().err) == (2, line)
+
+
+class TestEnvelope:
+    """Every report of a command that loads a table names that table's path,
+    the SHA-256 of its bytes and its order: successes, check's violation
+    report and each error report alike."""
+
+    ORDERS = {"f5.tbl": 5, "z9.tbl": 9, "bad.tbl": 4}
+
+    @pytest.mark.parametrize("case, status, kind", [
+        ("check f5.tbl", 0, None),
+        ("check bad.tbl", 1, None),
+        ("classify z9.tbl --unit 0", 0, None),
+        ("classify bad.tbl --unit 0", 1, "not-a-ccm-magma"),
+        ("classify f5.tbl --unit 1", 1, "unit-not-idempotent"),
+        ("extract-group z9.tbl --unit 0", 0, None),
+        ("extract-group bad.tbl --unit 0", 1, "not-a-ccm-magma"),
+        ("extract-group z9.tbl --unit 0", 1, "not-a-group"),
+        ("relation z9.tbl --subalgebra 0,3,6 --unit 0", 0, None),
+        ("relation bad.tbl --subalgebra 0 --unit 0", 1, "not-a-ccm-magma"),
+        ("relation z9.tbl --subalgebra 0,1 --unit 0", 1, "not-closed"),
+        ("relation z9.tbl --subalgebra 0,3,6 --unit 1", 1, "bad-unit"),
+    ])
+    def test_input_and_order(self, capsys, monkeypatch, tables, case, status, kind):
+        if kind == "not-a-group":
+            from ccmagma import generation
+            _patch_everywhere(monkeypatch, generation, "extract_group", lambda m, e: None)
+        code, report, _ = run(capsys, *case.split())
+        assert (code, report.get("error", {}).get("kind")) == (status, kind)
+        path = case.split()[1]
+        with open(path, "rb") as fh:
+            sha256 = hashlib.sha256(fh.read()).hexdigest()
+        assert report["input"] == {"path": path, "sha256": sha256}
+        assert report["order"] == self.ORDERS[path]
 
 
 class _Parsed(Exception):
