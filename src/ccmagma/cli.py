@@ -197,12 +197,12 @@ def _cmd_relation(args):
         raise _ErrorReport({"error": {"kind": "bad-unit", "message": str(exc)}},
                            f"relation: {exc}")
     rel = _induced(magma, xset, e)
-    internal, _ = rel.is_internal()
-    reflexive, _ = rel.is_reflexive()
-    symmetric, _ = rel.is_symmetric()
-    transitive, _ = rel.is_transitive()
-    difunctional, _ = rel.is_difunctional()
-    congruence = internal and reflexive and symmetric and transitive
+    (internal, _), (reflexive, _), (symmetric, _), (transitive, _) = (
+        rel.is_internal(), rel.is_reflexive(), rel.is_symmetric(), rel.is_transitive())
+    # e in X and M1 make R reflexive, and a reflexive relation is difunctional
+    # iff symmetric and transitive (Riguet): no mat @ mat.T @ mat product
+    difunctional = reflexive and symmetric and transitive
+    congruence = internal and difunctional
     results = {"subalgebra": seed, "unit": e, "internal": internal,
                "reflexive": reflexive, "symmetric": symmetric, "transitive": transitive,
                "difunctional": difunctional, "congruence": congruence,

@@ -1569,6 +1569,17 @@ class TestBlockAndChunkEdges:
     def test_m3_with_no_or_one_live_product(self, exact, kept, caps):
         TestSampledAxiomOracle().test_m3_with_no_or_one_live_product(exact, kept)
 
+    def test_exact_dead_second_product_in_the_last_block(self, caps):
+        # x + y on five samples in [-1/4, 1/4], leaking only at (1/2)(1/2):
+        # 1/2 is 1/4 + 1/4 alone, so only the quadruple (1/4, 1/4, 1/4, 1/4)
+        # asks for it, in row a = 4, which every cap puts in the last block
+        fam = ParametricFamily("leaky-sum", LeakySumShape(frozenset({(F(1, 2), F(1, 2))})),
+                               "a+b", None, None, True)
+        pts = [F(k, 8) for k in range(-2, 3)]
+        want = brute_sampled_axiom_check(fam, pts)
+        assert (want.m1_ok, want.m2_ok, want.m3_ok, want.closure_violations) == (True, True, False, 2)
+        assert sampled_axiom_check(fam, pts) == want
+
     @pytest.mark.parametrize("trap", TRAPS)
     def test_second_level_exception_comes_from_the_same_product(self, trap, caps):
         TestSampledAxiomOracle().test_second_level_exception_comes_from_the_same_product(trap)

@@ -266,8 +266,9 @@ class TestRelationBuiltOncePerCommand:
                                                   ("0,1,2,3,4,5,6,7,8", "3")])
     def test_one_division_table_and_one_product(self, capsys, monkeypatch, z9_file,
                                                 subalgebra, unit):
-        """relation builds one division table and one transitivity product;
-        the criterion's cross-check reuses the command's verdict."""
+        """relation builds one division table and one transitivity product,
+        and no difunctionality product; the criterion's cross-check reuses
+        the command's verdict."""
         from ccmagma import relations
         calls = []
 
@@ -279,8 +280,9 @@ class TestRelationBuiltOncePerCommand:
 
         monkeypatch.setattr(relations, "_divisions",
                             counted("_divisions", relations._divisions))
-        monkeypatch.setattr(relations.BinaryRelation, "is_transitive",
-                            counted("is_transitive", relations.BinaryRelation.is_transitive))
+        for name in ("is_transitive", "is_difunctional"):
+            monkeypatch.setattr(relations.BinaryRelation, name,
+                                counted(name, getattr(relations.BinaryRelation, name)))
         code, report, _ = run(capsys, "relation", z9_file, "--subalgebra", subalgebra,
                               "--unit", unit)
         assert code == 0 and report["results"]["transitivity_criterion"]
@@ -304,6 +306,19 @@ class TestRelation:
         assert code == 0
         assert report["results"]["congruence"]
         assert report["results"]["classes"] == 5
+
+    def test_flags_derive_from_symmetry(self, capsys, monkeypatch, z9_file):
+        """difunctional and congruence follow the symmetric verdict: a relation
+        reported not symmetric is neither."""
+        from ccmagma import relations
+        monkeypatch.setattr(relations.BinaryRelation, "is_symmetric",
+                            lambda self: (False, (0, 1)))
+        code, report, _ = run(capsys, "relation", z9_file,
+                              "--subalgebra", "0,3,6", "--unit", "0")
+        res = report["results"]
+        assert code == 0 and res["reflexive"] and res["transitive"]
+        assert (res["symmetric"], res["difunctional"], res["congruence"]) == (False,) * 3
+        assert "classes" not in res
 
     def test_unclosed_seed_reports_hint(self, capsys, z9_file):
         code, report, _ = run(capsys, "relation", z9_file,

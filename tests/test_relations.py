@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -94,6 +95,44 @@ class TestPredicates:
                 x, y, z, v = w
                 assert member[x][y] and member[z][y] and member[z][v]
                 assert not member[x][v]
+
+    def test_reflexive_difunctional_iff_symmetric_and_transitive(self):
+        """The fact the relation command reads difunctional off: on a reflexive
+        relation, difunctional = symmetric and transitive (Riguet)."""
+        rng = random.Random(17)
+        seen = Counter()   # (symmetric, transitive)
+        for i in range(800):
+            n = rng.randint(1, 12)
+            kind = i % 4
+            if kind == 0:   # the equivalence of a random partition
+                label = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+                mat = np.equal.outer(label, label)
+            else:   # a random reflexive relation, kept as drawn at kind 3
+                mat = np.array([[rng.random() < 0.25 for _ in range(n)]
+                                for _ in range(n)]) | np.eye(n, dtype=bool)
+                if kind == 1:   # its reflexive-transitive closure: a preorder
+                    for k in range(n):
+                        mat |= np.outer(mat[:, k], mat[k])
+                elif kind == 2:   # a reflexive symmetric relation
+                    mat |= mat.T
+            member = tuple(map(tuple, mat.tolist()))
+            r = BinaryRelation(*[fixtures.cyclic_add(n)] * 2, member)
+            assert r.is_reflexive()[0]
+            symmetric, transitive = r.is_symmetric()[0], r.is_transitive()[0]
+            assert r.is_difunctional()[0] == (symmetric and transitive) \
+                == brute_difunctional(member)
+            seen[symmetric, transitive] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 50, seen
+
+    def test_difunctional_without_reflexivity_need_not_be_symmetric(self):
+        """Why the derivation lives where reflexivity is proved: {(0, 1)} is
+        difunctional but not symmetric."""
+        z2 = fixtures.cyclic_add(2)
+        r = relation_from_pairs(z2, z2, [(0, 1)])
+        assert r.is_difunctional() == (True, None)
+        assert brute_difunctional(r.member)
+        assert r.is_symmetric() == (False, (0, 1))
+        assert r.is_transitive() == (True, None)
 
 
 def _seeded_relations(count, seed):
