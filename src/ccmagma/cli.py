@@ -1,20 +1,21 @@
 """Command-line front end: check, classify, generate, extract-group,
 relation, catalog.
 
-Machine-readable JSON goes to stdout, a short human summary to stderr.
-Exit status: 0 success, 1 property violation, 2 usage or parse error, a
-size whose arrays would pass MAX_CELLS, or a command that ran out of memory.
-`main(argv)` may be called in process any number of times: each call builds
-only the chosen subcommand's parser and keeps no state between calls.
-`main` times each command and writes every report, summary and error line;
-a handler only computes, and returns (status, report fields, summary) or
-raises _UsageError or _ErrorReport.  A command that loads a table records
-its `input` and `order` in `_load`, and `main` adds them to every report of
-the command, error reports included.  Each command imports what it uses when
-it runs: check, generate and extract-group load `core` and `generation`,
-classify adds `structures`, relation loads `core` and `relations`, and
-catalog `catalog`, `core` and `structures`.  `--version`, `--help` and
-argparse errors load no numpy.
+Machine-readable JSON goes to stdout, a short human summary to stderr.  Exit
+status: 0 success, 1 property violation, 2 usage or parse error, a size whose
+arrays would pass MAX_CELLS, or a command that ran out of memory.  `main(argv)`
+may be called in process any number of times: each call builds only the chosen
+subcommand's parser and keeps no state between calls.  `main` times each
+command and writes every report, summary and error line but one: extract-group
+prints its `warning:` for a unit that is not idempotent to stderr itself, under
+--json and --quiet too.  A handler only computes, and returns (status, report
+fields, summary) or raises _UsageError or _ErrorReport.  A command that loads a
+table records its `input` and `order` in `_load`, and `main` adds them to every
+report of the command, error reports included.  Each command imports what it
+uses when it runs: check, generate and extract-group load `core` and
+`generation`, classify adds `structures`, relation loads `core` and
+`relations`, and catalog `catalog`, `core` and `structures`.  `--version`,
+`--help` and argparse errors load no numpy.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _cmd_relation(args):
     (internal, _), (reflexive, _), (symmetric, _), (transitive, _) = (
         rel.is_internal(), rel.is_reflexive(), rel.is_symmetric(), rel.is_transitive())
     # e in X and M1 make R reflexive, and a reflexive relation is difunctional
-    # iff symmetric and transitive (Riguet): no mat @ mat.T @ mat product
+    # iff symmetric and transitive (Riguet): is_difunctional need not run
     difunctional = reflexive and symmetric and transitive
     congruence = internal and difunctional
     results = {"subalgebra": seed, "unit": e, "internal": internal,

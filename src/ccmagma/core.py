@@ -205,8 +205,8 @@ def _first_sliced(count: int, slice_at) -> Optional[tuple[int, ...]]:
     """(i, *hit) for the first i in 0..count-1 whose mask slice_at(i) has a
     True, hit being that mask's smallest True; None when none has one.
 
-    Every counterexample scan goes through here, so memory stays at one
-    slice and the scan stops at the first slice with a hit.
+    Every search that would build an n^3 or n^4 mask, or a matrix product,
+    goes through here: memory stays at one slice, and the first hit ends it.
     """
     for i in range(count):
         hit = _first(slice_at(i))

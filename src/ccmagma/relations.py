@@ -2,8 +2,8 @@
 equalizer relations of homomorphism pairs, relations induced by a
 subalgebra, and the pullback construction for split-epimorphism pairs.
 
-Relations are read-only bool arrays; every predicate is exhaustive, save
-that is_internal scans only when its coset certificate proves nothing.
+Relations are read-only bool arrays.  is_transitive and is_difunctional
+scan row by row, is_internal by related pair when its certificate fails.
 """
 
 from __future__ import annotations
@@ -71,9 +71,7 @@ class BinaryRelation:
         tl, tr = self.left.arr, self.right.arr
         # slice k: [k2] = pair k times pair k2 is unrelated
         hit = _first_sliced(len(a), lambda k: ~self.mat[tl[a[k], a], tr[b[k], b]])
-        if hit is None:
-            return True, None
-        return False, tuple((int(a[k]), int(b[k])) for k in hit)
+        return hit is None, None if hit is None else tuple((int(a[k]), int(b[k])) for k in hit)
 
     def is_reflexive(self) -> tuple[bool, Optional[int]]:
         self._require_square("reflexivity")
@@ -88,23 +86,24 @@ class BinaryRelation:
     def is_transitive(self) -> tuple[bool, Optional[tuple[int, int, int]]]:
         self._require_square("transitivity")
         mat = self.mat
-        bad = _first((mat @ mat) & ~mat)
+        # slice a: [c] = aRb and bRc for some b, and not aRc
+        bad = _first_sliced(len(mat), lambda a: mat[mat[a]].any(axis=0) & ~mat[a])
         if bad is None:
             return True, None
         a, c = bad
-        b = int(np.nonzero(mat[a] & mat[:, c])[0][0])
-        return False, (a, b, c)
+        return False, (a, int(np.flatnonzero(mat[a] & mat[:, c])[0]), c)
 
     def is_difunctional(self) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
         """xRy, zRy, zRw => xRw; the witness is the smallest failing (x, w)
         completed with the smallest connecting (y, z)."""
-        mat = self.mat
-        bad = _first((mat @ mat.T @ mat) & ~mat)
+        mat, packed = self.mat, np.packbits(self.mat, axis=1)
+        # slice x: [w] = zRw for some z whose row meets row x, and not xRw
+        bad = _first_sliced(len(mat), lambda x: mat[(packed & packed[x]).any(axis=1)]
+                            .any(axis=0) & ~mat[x])
         if bad is None:
             return True, None
         x, w = bad
-        y, z = _first(mat[x][:, None] & mat.T & mat[:, w])
-        return False, (x, y, z, w)
+        return False, (x, *_first(mat[x][:, None] & mat.T & mat[:, w]), w)
 
     def is_congruence(self) -> tuple[bool, Optional[dict]]:
         self._require_square("congruence")

@@ -66,6 +66,19 @@ def brute_transitive(member):
     return True
 
 
+def brute_transitive_witness(member):
+    """(a, b, c) with aRb, bRc and not aRc: the smallest such (a, c),
+    completed with the smallest b; None when there is none."""
+    n = len(member)
+    for a, c in product(range(n), repeat=2):
+        if member[a][c]:
+            continue
+        for b in range(n):
+            if member[a][b] and member[b][c]:
+                return a, b, c
+    return None
+
+
 def brute_pairs(member):
     return [(a, b) for a, row in enumerate(member) for b, v in enumerate(row) if v]
 

@@ -266,9 +266,9 @@ class TestRelationBuiltOncePerCommand:
                                                   ("0,1,2,3,4,5,6,7,8", "3")])
     def test_one_division_table_and_one_product(self, capsys, monkeypatch, z9_file,
                                                 subalgebra, unit):
-        """relation builds one division table and one transitivity product,
-        and no difunctionality product; the criterion's cross-check reuses
-        the command's verdict."""
+        """relation builds one division table and runs one transitivity
+        scan, and no difunctionality scan; the criterion's cross-check
+        reuses the command's verdict."""
         from ccmagma import relations
         calls = []
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -25,7 +26,8 @@ from test_core import _near_miss
 from _brute import (brute_classes, brute_difunctional,
                     brute_difunctional_witness, brute_format_relation,
                     brute_internal, brute_pairs, brute_reflexive,
-                    brute_transitive, brute_witnesses, endomorphism_pool)
+                    brute_transitive, brute_transitive_witness, brute_witnesses,
+                    endomorphism_pool)
 
 
 def hom(m, mapping):
@@ -181,10 +183,58 @@ class TestTupleOracle:
             if left == right:
                 assert r.is_reflexive() == brute_reflexive(member)
                 assert r.is_transitive()[0] == brute_transitive(member)
+                witness = brute_transitive_witness(member)
+                assert r.is_transitive() == (witness is None, witness)
             seen["square" if left == right else "rectangular"] += 1
             seen["empty"] += not pairs
             seen["full"] += len(pairs) == left.order * right.order
         assert min(seen.values()) >= 30, seen
+
+
+class TestRowScans:
+    """is_transitive and is_difunctional search row by row through
+    _first_sliced: no n x n product, and a refutation in row 0 reads one
+    slice."""
+
+    @staticmethod
+    def _classes(m, *extra):
+        """The equivalence a ~ b iff a = b mod 4 on m (4 classes of 256 at
+        n = 1024), plus the pairs extra."""
+        label = np.arange(m.order) % 4
+        mat = np.equal.outer(label, label)
+        for a, b in extra:
+            mat[a, b] = True
+        return BinaryRelation(m, m, mat)
+
+    def test_an_equivalence_at_1024_scans_in_under_1_mib(self):
+        # one n x n bool mask is 1 MiB, which a row scan never builds
+        r = self._classes(generate_quasigroup(1024, 1)[0])
+        for predicate in (r.is_transitive, r.is_difunctional):
+            tracemalloc.start()
+            try:
+                got = predicate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == (True, None), predicate.__name__
+            assert peak < 2**20, (predicate.__name__, peak)
+
+    def test_a_refutation_in_row_0_reads_one_slice(self, monkeypatch):
+        # 0R1 and 1R5 but not 0R5: row 0 holds both smallest witnesses
+        visited = []
+        scan = relations._first_sliced
+
+        def counted(count, slice_at):
+            def at(i):
+                visited.append(i)
+                return slice_at(i)
+            return scan(count, at)
+
+        monkeypatch.setattr(relations, "_first_sliced", counted)
+        r = self._classes(generate_quasigroup(1024, 1)[0], (0, 1))
+        assert r.is_transitive() == (False, (0, 1, 5)) and visited == [0]
+        visited.clear()
+        assert r.is_difunctional() == (False, (0, 1, 1, 5)) and visited == [0]
 
 
 def _translation_graphs(rng):
