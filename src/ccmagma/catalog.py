@@ -12,6 +12,7 @@ verdicts at tolerance 1e-9.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
@@ -147,14 +148,27 @@ _SMALL = 1 << 31
 def _promoted(*xs) -> tuple:
     """The parts (num, den) of xs, rational arrays, Fractions and ints, as
     they are when each is below 2**31 in magnitude on int64 (a d + n b then
-    cannot wrap), else with every array on Python ints.  An array with no
-    bound below 2**31 is measured by min and max, as abs(-2**63) wraps."""
-    bounded = [(p, getattr(x, "bound", None)) for x in xs for p in _parts(x)]
+    cannot wrap), else with every array on Python ints.  An int64 array
+    whose bound is below 2**31 is taken as it is, and so is a scalar whose
+    parts are; an array with no such bound is measured by min and max, as
+    abs(-2**63) wraps."""
+    parts = [p for x in xs for p in _parts(x)]
+    for x in xs:
+        if isinstance(x, _Rationals):
+            if not (x.bound is not None and x.bound < _SMALL
+                    and x.num.dtype == x.den.dtype == np.int64):
+                break
+        elif not (-_SMALL < x.numerator < _SMALL and x.denominator < _SMALL):
+            break
+    else:
+        return tuple(parts)
+    bounds = [getattr(x, "bound", None) for x in xs for _ in (0, 1)]
     if all(-_SMALL < p < _SMALL if isinstance(p, int) else p.dtype != object and (
            b is not None and b < _SMALL
-           or -_SMALL < p.min(initial=0) and p.max(initial=0) < _SMALL) for p, b in bounded):
-        return tuple(p for p, _ in bounded)
-    return tuple(p.astype(object) if isinstance(p, np.ndarray) else p for p, _ in bounded)
+           or -_SMALL < p.min(initial=0) and p.max(initial=0) < _SMALL)
+           for p, b in zip(parts, bounds)):
+        return tuple(parts)
+    return tuple(p.astype(object) if isinstance(p, np.ndarray) else p for p in parts)
 
 
 def _bound(xs, k: int = 1, join=math.prod) -> Optional[int]:
@@ -430,8 +444,17 @@ class _Lifted:
         return self.join(self.lift(x), self.lift(y))
 
 
+class _Merged(_Lifted):
+    """A _Lifted shape whose join is finish(merge(a, b)), merge operator.add
+    or operator.mul: IEEE 754 + and * are commutative, so join(a, b) and
+    join(b, a) are the same bits, and one raises where the other does."""
+
+    def join(self, a, b):
+        return self.finish(self.merge(a, b))
+
+
 @dataclass(frozen=True)
-class CubeRootFamily(_Lifted):
+class CubeRootFamily(_Merged):
     """x op y = scale * ((x^3 + y^3)/div)^(1/3), float mode."""
     scale: int
     div: int
@@ -439,9 +462,10 @@ class CubeRootFamily(_Lifted):
     mode = "float"
 
     lift = staticmethod(lambda x: x ** 3)
+    merge = staticmethod(operator.add)
 
-    def join(self, a, b):
-        return self.scale * _cbrt((a + b) / self.div)
+    def finish(self, v):
+        return self.scale * _cbrt(v / self.div)
 
     def solve_raw(self, a, b):
         return _cbrt(_each(pow, b / self.scale, 3) * self.div - _each(pow, a, 3))
@@ -453,15 +477,16 @@ class CubeRootFamily(_Lifted):
 
 
 @dataclass(frozen=True)
-class GeometricFamily(_Lifted):
+class GeometricFamily(_Merged):
     """x op y = sqrt(x y), float mode."""
     domain: Interval
     mode = "float"
 
     lift = staticmethod(lambda x: x)
+    merge = staticmethod(operator.mul)
 
-    def join(self, a, b):
-        return _each(math.sqrt, a * b)
+    def finish(self, v):
+        return _each(math.sqrt, v)
 
     def solve_raw(self, a, b):
         return _each(lambda a, b: b * b / a, a, b)
@@ -471,15 +496,16 @@ class GeometricFamily(_Lifted):
 
 
 @dataclass(frozen=True)
-class LogSumExpFamily(_Lifted):
+class LogSumExpFamily(_Merged):
     """x op y = log(exp x + exp y), float mode."""
     domain: Interval
     mode = "float"
 
     lift = staticmethod(math.exp)
+    merge = staticmethod(operator.add)
 
-    def join(self, a, b):
-        return _each(math.log, a + b)
+    def finish(self, v):
+        return _each(math.log, v)
 
     def solve_raw(self, a, b):
         return _each(lambda a, b: math.log(math.exp(b) - math.exp(a)) if b > a else math.nan,
@@ -729,6 +755,15 @@ def _array(fam: ParametricFamily, vals):
     return np.asarray(vals, dtype=float)
 
 
+def _repeated(fam: ParametricFamily, x: Number, n: int):
+    """n copies of the value x as one array of _array's kind, broadcast
+    from one entry (read-only)."""
+    one = _array(fam, [x])
+    if fam.mode == "exact":
+        return _Rationals(*(np.broadcast_to(p, n) for p in _parts(one)), one.bound)
+    return np.broadcast_to(one, n)
+
+
 def _operands(fam: ParametricFamily, vals):
     """The operands _products takes for vals: their rational array in exact
     mode, in float mode the float64 array of their lifts, one scalar lift
@@ -806,15 +841,23 @@ _BLOCK_CELLS = 1 << 13
 _KEY_CHUNK = 1 << 12
 
 
-def _quadruples(pairs: np.ndarray, u: int):
-    """Yields (keys, quads) per block of rows a: keys[a, b, c, d] = ab * u
-    + cd, the key of the product (ab)(cd), and quads where ab, ac, cd and bd
-    are all live.  The key of (ac)(bd) sits at (a, c, b, d)."""
-    s, live = len(pairs), pairs >= 0
+def _blocks(pairs: np.ndarray, u: int):
+    """Yields (rows, keys) per block of rows a of M3's quadruples: rows the
+    slice of a, and keys[a, b, c, d] = ab * u + cd, the key of the product
+    (ab)(cd).  The key of (ac)(bd) sits at (a, c, b, d)."""
+    s = len(pairs)
     step = max(1, _BLOCK_CELLS // max(1, s ** 3))
     for a in range(0, s, step):
-        left = live[a:a + step, :, None, None] & live         # ab and cd
-        yield pairs[a:a + step, :, None, None] * u + pairs, left & left.swapaxes(1, 2)
+        yield slice(a, a + step), pairs[a:a + step, :, None, None] * u + pairs
+
+
+def _quadruples(pairs: np.ndarray, u: int):
+    """Yields (keys, quads) per block of _blocks, quads where ab, ac, cd
+    and bd are all live."""
+    live = pairs >= 0
+    for rows, keys in _blocks(pairs, u):
+        left = live[rows, :, None, None] & live         # ab and cd
+        yield keys, left & left.swapaxes(1, 2)
 
 
 def _second_products(fam: ParametricFamily, values, pairs: np.ndarray) -> tuple:
@@ -822,23 +865,32 @@ def _second_products(fam: ParametricFamily, values, pairs: np.ndarray) -> tuple:
     some (ab)(cd), evaluated once in ascending order of p * u + q, the key,
     _KEY_CHUNK keys per _products call: all u^2 if every pair is live (each
     id meets each in a quadruple), else those a pass over M3's blocks marks.
+    Where all are asked for and the shape is _Merged, only the keys with
+    p <= q are evaluated, and each fills (q, p) too: the first key to raise
+    is the same, as a raising (p, q) with p > q has an earlier mirror.
     seconds[key] is its value, and live[key] is False where it escapes or is
     not asked for.  An exact table turns from int64 to Python ints once."""
     u = len(values)
-    wanted = np.full(u * u, (pairs >= 0).all())
-    for keys, quads in () if wanted.all() else _quadruples(pairs, u):
+    every = bool((pairs >= 0).all())
+    wanted = np.full(u * u, every)
+    for keys, quads in () if every else _quadruples(pairs, u):
         wanted[keys[quads]] = True
-    keys, live = np.flatnonzero(wanted), wanted   # live is set at every key asked for
+    mirror = every and isinstance(fam.shape, _Merged)
+    keys = np.flatnonzero(np.tri(u, dtype=bool).T if mirror else wanted)
+    live = wanted                                 # set at every key asked for
     seconds = (np.empty(u * u) if fam.mode == "float"
                else _Rationals(np.zeros(u * u, np.int64), np.ones(u * u, np.int64), 1))
     ops = _operands(fam, values)
     for at in range(0, keys.size, _KEY_CHUNK):
         chunk = keys[at:at + _KEY_CHUNK]
-        got, live[chunk] = _products(fam, ops, chunk, u)
+        got, ok = _products(fam, ops, chunk, u)
         if (isinstance(got, _Rationals) and got.num.dtype == object
                 and seconds.num.dtype != object):
             seconds = _Rationals(*(p.astype(object) for p in _parts(seconds)), seconds.bound)
-        seconds[chunk] = got
+        seconds[chunk], live[chunk] = got, ok
+        if mirror:
+            p, q = np.divmod(chunk, u)
+            seconds[q * u + p], live[q * u + p] = got, ok
     return seconds, live
 
 
@@ -851,12 +903,14 @@ def sampled_axiom_check(fam: ParametricFamily,
     is classified from the same pair table.
 
     Each stage is a batch, and each distinct ordered product is evaluated
-    once per call by _products: products of samples in _pair_table, then
-    by _second_products those that M3's quadruples (a, b, c, d) ask for.
+    at most once per call by _products: products of samples in
+    _pair_table, then by _second_products those that M3's quadruples
+    (a, b, c, d) ask for, a _Merged shape's once per unordered pair.
     M3 gathers (ab)(cd) once per block of rows a of _BLOCK_CELLS cells and
-    compares it with its (ac)(bd) view, so memory is one key-indexed table
-    of u^2 values with its carrier mask, for u <= s^2 distinct products,
-    plus O(s^3 + _BLOCK_CELLS + _KEY_CHUNK).
+    compares it with its (ac)(bd) view, masking dead quadruples only where
+    a product escapes, so memory is one key-indexed table of u^2 values
+    with its carrier mask, for u <= s^2 distinct products, plus
+    O(s^3 + _BLOCK_CELLS + _KEY_CHUNK).
     Float mode lifts each value once per stage.  M1 compares the pair
     table's ids with their transpose; M2 solves all live pairs in one
     _solve_each call, and in float mode evaluates x' op y for every solution
@@ -882,7 +936,7 @@ def sampled_axiom_check(fam: ParametricFamily,
         # pre-image far from x, so check the defining equation instead: the
         # solution must solve x' op y = v
         with np.errstate(all="ignore"):
-            back = fam.shape.join(_operands(fam, got[ok]), _operands(fam, coerced)[j[ok]])
+            back = fam.shape.join(_operands(fam, got[ok]), _operands(fam, xs)[j[ok]])
         escaped = ~fam.domain.contains_each(back)
         if escaped.any():
             raise fam._escape(back[escaped][0].item())
@@ -898,22 +952,31 @@ def sampled_axiom_check(fam: ParametricFamily,
     closure += int(((s - nb) * (1 + nb)).sum() + 2 * (nb * escaped).sum())
     m3 = not ((nb > 0) & (escaped > 0)).any()
     seconds, ok = _second_products(fam, values, pairs)
-    for keys, quads in _quadruples(pairs, u) if u else ():   # at u = 0 none is live
+    # where every pair is live and no second product escapes, every
+    # quadruple and both its sides are live: nothing is masked
+    masked = not (live.all() and ok.all())
+    blocks = _quadruples(pairs, u) if masked else ((keys, None) for _, keys in _blocks(pairs, u))
+    for keys, quads in blocks if u else ():   # at u = 0 none is live
         # quads is symmetric under b <-> c, which swaps (ab)(cd) and (ac)(bd)
-        keys = np.where(quads, keys, 0)
-        live = quads & ok[keys]
-        dead = int((quads & ~live).sum())
-        closure, m3 = closure + 2 * dead, m3 and not dead
+        if masked:
+            keys = np.where(quads, keys, 0)
+            live = quads & ok[keys]
+            dead = int((quads & ~live).sum())
+            closure, m3 = closure + 2 * dead, m3 and not dead
         if exact:     # with no dead side, equal sides are equal parts
             m3 = m3 and all((p == p.swapaxes(1, 2)).all() for p in _parts(seconds[keys]))
         else:
-            got, both = seconds[keys], live & live.swapaxes(1, 2)
-            got = np.subtract(got, got.swapaxes(1, 2), out=np.zeros_like(got), where=both)
+            got = seconds[keys]
+            if masked:
+                got = np.subtract(got, got.swapaxes(1, 2), out=np.zeros_like(got),
+                                  where=live & live.swapaxes(1, 2))
+            else:
+                got = got - got.swapaxes(1, 2)
             top = float(np.abs(got).max())
             worst = max(worst, top)
             m3 = m3 and top <= FLOAT_TOL
 
-    verdict = None if fam.unit is None else _classify(fam, pts, coerced, pairs, values)
+    verdict = None if fam.unit is None else _classify(fam, pts, xs, pairs, values)
     return SampleReport(fam.id, len(pts), m1, m2, m3,
                         None if exact else worst, closure, verdict)
 
@@ -1010,20 +1073,22 @@ def classify_family(fam: ParametricFamily,
     if fam.unit is None:
         raise ValueError(f"{fam.id} has no designated unit")
     pts = list(samples) if samples is not None else default_samples(fam)
-    return _classify(fam, pts, *_pair_table(fam, pts))
+    coerced, pairs, values = _pair_table(fam, pts)
+    return _classify(fam, pts, _array(fam, coerced), pairs, values)
 
 
-def _classify(fam: ParametricFamily, pts: list, coerced: list, pairs: np.ndarray,
+def _classify(fam: ParametricFamily, pts: list, xs, pairs: np.ndarray,
               values) -> FamilyClassification:
-    """classify_family on the pair table of pts: the monoid witness of pair
-    (x, y) solves theta op e = x op y, once per distinct product, and is
-    None where x op y escapes the carrier.  Each kind of solve takes one
-    _solve_each call, and a witness that exists reads True.  Float shapes
-    are judged by their witnesses alone."""
+    """classify_family on the pair table of pts, whose samples are the
+    array xs: the monoid witness of pair (x, y) solves theta op e = x op y,
+    once per distinct product, and is None where x op y escapes the
+    carrier.  Each kind of solve takes one _solve_each call, and a witness
+    that exists reads True.  Float shapes are judged by their witnesses
+    alone."""
     e = fam.unit
-    s, u = len(coerced), len(values)
+    s, u = len(xs), len(values)
     total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
-    xs, es = _array(fam, coerced), _array(fam, [e] * max(s, u))
+    es = _repeated(fam, e, max(s, u))
     solved = _solve_each(fam, _joined(es[:s], xs, es[:u]), _joined(xs, es[:s], values))[1]
     expansive, ev_exp = _flag_with_evidence(
         fam, "expansive", total[0], solved[:s], lambda k: f"a={pts[k]}")
@@ -1051,7 +1116,7 @@ def monoid_formula_check(samples: Optional[Sequence[Fraction]] = None) -> bool:
     the formula, as 2 theta / (theta + 1) = 2xy / (x + y)."""
     fam = CATALOG["harmonic-(0,1]"]
     pts, pairs, z = _pair_table(fam, samples if samples is not None else default_samples(fam))
-    theta, ok = _solve_each(fam, _exact([fam.unit] * len(z)), z)
+    theta, ok = _solve_each(fam, _repeated(fam, fam.unit, len(z)), z)
     x, y = (_exact(pts)[k] for k in np.divmod(np.arange(len(pts) ** 2), len(pts)))
     return bool((pairs >= 0).all() and ok.all()
                 and theta[pairs.ravel()].same((x * y / (x + y - x * y)).reduced()).all())

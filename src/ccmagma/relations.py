@@ -275,6 +275,13 @@ def transitivity_criterion(m: FiniteMagma, xs: Iterable[int], e: int) -> bool:
     return _transitivity_criterion(m, xset, e, _induced(m, xset, e).is_transitive()[0])
 
 
+def _chained(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bool matrix product a b^T of two bool matrices, as a float64 BLAS
+    product compared > 0: exact, as each entry counts at most a's width in
+    ones, far below 2**53."""
+    return a.astype(np.float64) @ b.T.astype(np.float64) > 0
+
+
 def _transitivity_criterion(m: FiniteMagma, xset: tuple[int, ...], e: int,
                             direct: bool) -> bool:
     """The criterion on a checked xset, computed without the relation;
@@ -285,7 +292,7 @@ def _transitivity_criterion(m: FiniteMagma, xset: tuple[int, ...], e: int,
     reach = np.zeros(d.shape, dtype=bool)
     reach[np.nonzero(d >= 0)[0], d[d >= 0]] = True
     # [x, y]: some b solves b op e = y op c (some c) with x op b solvable
-    chained = (d >= 0).astype(np.intp) @ reach.T.astype(np.intp) > 0
+    chained = _chained(d >= 0, reach)
     holds = not (chained & ~np.isin(d[:, xa], xa)).any()
     if holds != direct:
         raise AssertionError(

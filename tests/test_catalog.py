@@ -529,7 +529,9 @@ def _m3_keys(pairs):
 def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
     # at grid 8, one _products call makes the pair table; then M3 evaluates
     # each key it asks for once, in ascending order, _KEY_CHUNK keys per
-    # call; logsumexp-R made 19 calls when M3 took one batch per slice
+    # call; logsumexp-R made 19 calls when M3 took one batch per slice.  A
+    # _Merged shape evaluates only the keys p * u + q with p <= q, and 9
+    # calls for logsumexp-R when it evaluated all u^2 keys
     calls = []
 
     def counted(fam, ops, keys, u, products=catalog._products):
@@ -538,7 +540,10 @@ def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
 
     counts = {}
     for fid, fam in sorted(CATALOG.items()):
-        want = _m3_keys(_pair_table(fam, default_samples(fam, 8))[1])
+        _, pairs, values = _pair_table(fam, default_samples(fam, 8))
+        want, u = _m3_keys(pairs), len(values)
+        if isinstance(fam.shape, catalog._Merged):
+            want = {k for k in want if k // u <= k % u}
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(catalog, "_products", counted)
@@ -548,8 +553,8 @@ def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
         assert all(0 < len(keys) <= catalog._KEY_CHUNK for keys in calls[1:]), fid
         assert (np.diff(got) > 0).all() and set(got.tolist()) == want, fid
         counts[fid] = len(calls)
-    assert counts["logsumexp-R"] == 9         # 1 + ceil(171^2 keys / 4096)
-    assert sum(counts.values()) == 66
+    assert counts["logsumexp-R"] == 5         # 1 + ceil(171 * 172 / 2 keys / 4096)
+    assert sum(counts.values()) == 60
 
 
 def test_a_check_with_a_unit_solves_in_two_batches(monkeypatch):
@@ -589,6 +594,35 @@ def test_m3_marks_its_keys_only_where_a_pair_escapes(monkeypatch):
         catalog._second_products(fam, values, pairs)
         assert bool((pairs >= 0).all()) is every, fam.id
         assert len(passes) == (0 if every else 1), fam.id
+
+
+def test_m3_masks_its_quadruples_only_where_a_product_escapes(monkeypatch):
+    # _quadruples builds every quadruple mask: for marking the keys asked
+    # for where a pair of samples escapes, and for M3's masked pass where a
+    # pair or a second product escapes.  No catalog family needs either
+    passes = []
+
+    def counted(pairs, u, quadruples=catalog._quadruples):
+        passes.append(u)
+        return quadruples(pairs, u)
+
+    monkeypatch.setattr(catalog, "_quadruples", counted)
+    grids = [(fam, 8) for fam in CATALOG.values()]
+    grids += [(fam, 16) for fam in CATALOG.values() if fam.mode == "float"]
+    assert len(grids) == 28 + 4
+    for fam, grid in grids:
+        passes.clear()
+        sampled_axiom_check(fam, denominator=grid)
+        assert passes == [], (fam.id, grid)
+    # a pair escapes: the marking pass, then the masked pass
+    for fam in (NON_CLOSED[0], NON_CLOSED[2]):
+        passes.clear()
+        sampled_axiom_check(fam, denominator=4)
+        assert len(passes) == 2, fam.id
+    # every pair live and one second product dead: the masked pass alone
+    passes.clear()
+    rep = sampled_axiom_check(LEAKY_SUM, LEAKY_SUM_SAMPLES)
+    assert len(passes) == 1 and not rep.m3_ok and rep.closure_violations == 2
 
 
 NON_CLOSED = [
@@ -680,6 +714,13 @@ class LeakySumShape:
 
     def solve_raw(self, a, b):
         return b - a
+
+
+# x + y on five samples in [-1/4, 1/4], every product live and only the
+# product of products (1/2)(1/2) leaking
+LEAKY_SUM = ParametricFamily("leaky-sum", LeakySumShape(frozenset({(F(1, 2), F(1, 2))})),
+                             "a+b", None, None, True)
+LEAKY_SUM_SAMPLES = [F(k, 8) for k in range(-2, 3)]
 
 
 @dataclass(frozen=True)
@@ -1531,6 +1572,66 @@ class TestFloatArrays:
         for check in (brute_sampled_axiom_check, sampled_axiom_check):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 check(fam, pts)
+
+
+MERGED_SHAPES = list(dict.fromkeys(fam.shape for fam in FLOAT_FAMILIES
+                                   if isinstance(fam.shape, catalog._Merged)))
+
+# lifts: signed zeros, subnormals, the normal floats nearest zero, and
+# floats near the top of the range, where a sum or product overflows
+_EDGE_LIFTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.225e-308, 2.2250738585072014e-308,
+               1e300, 8.98846567431158e307, 1.7976931348623157e308, -1.7976931348623157e308)
+LIFTS = st.one_of(st.sampled_from(_EDGE_LIFTS),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+                  st.floats(1e300, 1.7976931348623157e308))
+
+
+def _joined_bits(shape, a, b):
+    """The bits of shape.join(a, b), or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            got = shape.join(a, b)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(got, dtype=float).view(np.uint64).tolist()
+
+
+class TestMergedJoins:
+    """The premise of evaluating a _Merged shape's products of products
+    once per unordered pair: join(a, b) and join(b, a) are the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MERGED_SHAPES),
+           st.lists(st.tuples(LIFTS, LIFTS), min_size=1, max_size=12))
+    def test_join_is_commutative_bit_for_bit(self, shape, lifts):
+        a, b = (np.array(v, dtype=float) for v in zip(*lifts))
+        if not isinstance(shape, CubeRootFamily):     # lifts of exp and of (0, 1)
+            a, b = np.where(a < 0, -a, a), np.where(b < 0, -b, b)
+        assert _joined_bits(shape, a, b) == _joined_bits(shape, b, a)
+        x, y = a[0].item(), b[0].item()
+        assert _joined_bits(shape, x, y) == _joined_bits(shape, y, x)
+
+    def test_mirrored_second_products_equal_the_ordered_ones(self):
+        # at grids 2-16, every family whose pairs of samples are all live
+        # evaluates half its keys; values and carrier mask are those of
+        # every key evaluated in order.  On the last samples every product
+        # of two samples stays in [-1, 1] and some products of products leave
+        cases = [(fam, default_samples(fam, grid)) for fam in FLOAT_FAMILIES
+                 if isinstance(fam.shape, catalog._Merged) for grid in range(2, 17)]
+        cases.append((NON_CLOSED[2], [k / 16 for k in range(-4, 5)]))
+        mirrored = []
+        for fam, pts in cases:
+            _, pairs, values = _pair_table(fam, pts)
+            if not (pairs >= 0).all():
+                continue
+            u = len(values)
+            seconds, live = catalog._second_products(fam, values, pairs)
+            want, ok = _products(fam, _operands(fam, values), np.arange(u * u), u)
+            assert seconds.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert live.tolist() == ok.tolist(), (fam.id, pts)
+            mirrored.append(bool(ok.all()))
+        assert len(mirrored) >= 4 * 15 + 1 and not mirrored[-1]
 
 
 # (_BLOCK_CELLS, _KEY_CHUNK): blocks of one row of quadruples and calls of

@@ -598,6 +598,17 @@ class TestTransitivityCriterion:
             # direct transitivity check, so reaching here is the assertion
 
 
+def test_chained_product_equals_the_intp_product():
+    # the criterion's float64 BLAS product of two bool matrices, compared
+    # > 0, against the integer product it replaced
+    for left, right, member in _seeded_relations(400, 29):
+        mat = np.array(member, dtype=bool).reshape(left.order, right.order)
+        for a, b in ((mat, mat), (mat, ~mat), (mat.T, mat.T)):
+            got = relations._chained(a, b)
+            assert got.dtype == bool
+            assert (got == (a.astype(np.intp) @ b.T.astype(np.intp) > 0)).all()
+
+
 class TestPullback:
     def make_corollary_kite(self, m, e):
         one = fixtures.singleton()
