@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -47,8 +47,8 @@ class Interval:
     integral: bool = False
 
     def __post_init__(self):
-        lo = Fraction(self.lo) if self.lo is not None else None
-        hi = Fraction(self.hi) if self.hi is not None else None
+        lo, hi = (end if end is None or isinstance(end, Fraction) else Fraction(end)
+                  for end in (self.lo, self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         # the finite ends as integer (numerator, denominator) pairs
@@ -280,10 +280,9 @@ def _hull(iv: Interval) -> Interval:
     return Interval(lo, hi, integral=True)
 
 
-def _affine(iv: Interval, s, o) -> Interval:
+def _affine(iv: Interval, s, o=0) -> Interval:
     """{s v + o : v in iv} for s != 0, as ends; a lattice stays a lattice."""
-    lo = None if iv.lo is None else s * iv.lo + o
-    hi = None if iv.hi is None else s * iv.hi + o
+    lo, hi = (None if v is None else (s * v + o if o else s * v) for v in (iv.lo, iv.hi))
     if s > 0:
         return Interval(lo, hi, iv.lo_open, iv.hi_open, iv.integral)
     return Interval(hi, lo, iv.hi_open, iv.lo_open, iv.integral)
@@ -310,13 +309,19 @@ def _within(a: Interval, b: Interval) -> bool:
 # alpha, beta): phi(x op y) = alpha (phi x + phi y) + beta, or with
 # alpha = beta = None, phi(x op y) = phi x * phi y on positive numbers
 
+class _Exact:
+    """An exact shape.  It commutes: every operation takes x and y together
+    (x + y, x y) or values symmetric in them, so (y, x) gives (x, y)'s parts, bound and dtype."""
+    mode = "exact"
+    commutes = True
+
+
 @dataclass(frozen=True)
-class AffineFamily:
+class AffineFamily(_Exact):
     """x op y = alpha (x + y) + beta, alpha != 0."""
     alpha: Fraction
     beta: Fraction
     domain: Interval
-    mode = "exact"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -341,11 +346,10 @@ class AffineFamily:
 
 
 @dataclass(frozen=True)
-class HarmonicFamily:
+class HarmonicFamily(_Exact):
     """x op y = c x y / (x + y) on a positive carrier."""
     c: Fraction
     domain: Interval
-    mode = "exact"
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(self.c))
@@ -353,7 +357,7 @@ class HarmonicFamily:
             raise ValueError("harmonic families need a strictly positive carrier")
 
     def evaluate_raw(self, x, y):
-        return self.c * x * y / (x + y)
+        return self.c * (x * y) / (x + y)
 
     def solve_raw(self, a, b):
         return _ratio(a * b, self.c * a - b)
@@ -366,11 +370,10 @@ class HarmonicFamily:
 
 
 @dataclass(frozen=True)
-class ProbSumFamily:
+class ProbSumFamily(_Exact):
     """x op y = x + y + gamma x y."""
     gamma: Fraction
     domain: Interval
-    mode = "exact"
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", Fraction(self.gamma))
@@ -380,7 +383,7 @@ class ProbSumFamily:
             raise ValueError("prob-sum families need 1 + gamma x > 0 on the carrier")
 
     def evaluate_raw(self, x, y):
-        return x + y + self.gamma * x * y
+        return x + y + self.gamma * (x * y)
 
     def solve_raw(self, a, b):
         return _ratio(b - a, 1 + self.gamma * a)
@@ -395,10 +398,9 @@ class ProbSumFamily:
 
 
 @dataclass(frozen=True)
-class TanhSumFamily:
+class TanhSumFamily(_Exact):
     """x op y = (x + y)/(1 + x y), the addition law of tanh."""
     domain: Interval
-    mode = "exact"
 
     def __post_init__(self):
         if not _within(self.domain, Interval(-1, 1, True, True)):
@@ -447,7 +449,8 @@ class _Lifted:
 class _Merged(_Lifted):
     """A _Lifted shape whose join is finish(merge(a, b)), merge operator.add
     or operator.mul: IEEE 754 + and * are commutative, so join(a, b) and
-    join(b, a) are the same bits, and one raises where the other does."""
+    join(b, a) are the same bits and raise alike: it commutes."""
+    commutes = True
 
     def join(self, a, b):
         return self.finish(self.merge(a, b))
@@ -755,15 +758,6 @@ def _array(fam: ParametricFamily, vals):
     return np.asarray(vals, dtype=float)
 
 
-def _repeated(fam: ParametricFamily, x: Number, n: int):
-    """n copies of the value x as one array of _array's kind, broadcast
-    from one entry (read-only)."""
-    one = _array(fam, [x])
-    if fam.mode == "exact":
-        return _Rationals(*(np.broadcast_to(p, n) for p in _parts(one)), one.bound)
-    return np.broadcast_to(one, n)
-
-
 def _operands(fam: ParametricFamily, vals):
     """The operands _products takes for vals: their rational array in exact
     mode, in float mode the float64 array of their lifts, one scalar lift
@@ -790,9 +784,9 @@ def _pair_table(fam: ParametricFamily, samples: Iterable[Number]) -> tuple:
             raise DomainError(f"{fam.id}: inputs ({pts[0]}, {pts[-1]}) outside {fam.domain}")
     s = len(pts)
     v, live = _products(fam, _operands(fam, pts), np.arange(s * s), s)
-    ids = np.full(s * s, -1, dtype=np.intp)
-    ids[live] = _intern(v[live])
-    return pts, ids.reshape(s, s), v[live][np.unique(ids[live], return_index=True)[1]]
+    ids, v = np.full(s * s, -1, dtype=np.intp), v[live]
+    ids[live], first = _intern(v)
+    return pts, ids.reshape(s, s), v[first]
 
 
 def _products(fam: ParametricFamily, ops, keys: np.ndarray, u: int) -> tuple:
@@ -811,14 +805,20 @@ def _products(fam: ParametricFamily, ops, keys: np.ndarray, u: int) -> tuple:
     return v, fam.domain.contains_each(v)
 
 
-def _intern(v) -> np.ndarray:
-    """Ids of v's entries, equal entries sharing one, numbered in order of
-    first appearance: keyed by (num, den) of a reduced rational array or by
-    (value, sign) of a float64 array, so that -0.0 and 0.0 stay apart."""
-    keys = (list(zip(v.num.tolist(), v.den.tolist())) if isinstance(v, _Rationals)
-            else [(x, math.copysign(1.0, x)) for x in v.tolist()])
-    first = dict(zip(dict.fromkeys(keys), count()))
-    return np.fromiter(map(first.__getitem__, keys), np.intp, len(keys))
+def _packed(v) -> np.ndarray:
+    """One key per entry of v, equal where the entries are: a float's bits
+    (-0.0 and 0.0 apart), num << 32 | den where _promoted keeps a reduced
+    rational on int64, else the Python int num (max den + 1) + den."""
+    if not isinstance(v, _Rationals):
+        return v.view(np.int64)
+    num, den = _promoted(v)
+    return num << 32 | den if num.dtype != object else num * (den.max(initial=0) + 1) + den
+
+
+def _intern(v) -> tuple:
+    """(ids, first): ids of equal _packed keys in order of first appearance, each's first index."""
+    _, first, inv = np.unique(_packed(v), return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv], np.sort(first)
 
 
 def _solve_each(fam: ParametricFamily, a, b) -> tuple:
@@ -865,7 +865,7 @@ def _second_products(fam: ParametricFamily, values, pairs: np.ndarray) -> tuple:
     some (ab)(cd), evaluated once in ascending order of p * u + q, the key,
     _KEY_CHUNK keys per _products call: all u^2 if every pair is live (each
     id meets each in a quadruple), else those a pass over M3's blocks marks.
-    Where all are asked for and the shape is _Merged, only the keys with
+    Where all are asked for and the shape commutes, only the keys with
     p <= q are evaluated, and each fills (q, p) too: the first key to raise
     is the same, as a raising (p, q) with p > q has an earlier mirror.
     seconds[key] is its value, and live[key] is False where it escapes or is
@@ -875,7 +875,7 @@ def _second_products(fam: ParametricFamily, values, pairs: np.ndarray) -> tuple:
     wanted = np.full(u * u, every)
     for keys, quads in () if every else _quadruples(pairs, u):
         wanted[keys[quads]] = True
-    mirror = every and isinstance(fam.shape, _Merged)
+    mirror = every and getattr(fam.shape, "commutes", False)
     keys = np.flatnonzero(np.tri(u, dtype=bool).T if mirror else wanted)
     live = wanted                                 # set at every key asked for
     seconds = (np.empty(u * u) if fam.mode == "float"
@@ -905,18 +905,18 @@ def sampled_axiom_check(fam: ParametricFamily,
     Each stage is a batch, and each distinct ordered product is evaluated
     at most once per call by _products: products of samples in
     _pair_table, then by _second_products those that M3's quadruples
-    (a, b, c, d) ask for, a _Merged shape's once per unordered pair.
+    (a, b, c, d) ask for, a commuting shape's once per unordered pair.
     M3 gathers (ab)(cd) once per block of rows a of _BLOCK_CELLS cells and
     compares it with its (ac)(bd) view, masking dead quadruples only where
     a product escapes, so memory is one key-indexed table of u^2 values
     with its carrier mask, for u <= s^2 distinct products, plus
     O(s^3 + _BLOCK_CELLS + _KEY_CHUNK).
     Float mode lifts each value once per stage.  M1 compares the pair
-    table's ids with their transpose; M2 solves all live pairs in one
-    _solve_each call, and in float mode evaluates x' op y for every solution
-    x' in one more batch, the first escaping pair raising evaluate's
-    ClosureError.  Every lookup of an escaped product counts one closure
-    violation, as one failing evaluation per call site would.
+    table's ids with their transpose; M2 solves all live pairs, and in exact
+    mode the classification's witnesses, in one _solve_each call; float mode
+    evaluates x' op y for every solution x' in one more batch, the first
+    escaping pair raising evaluate's ClosureError.  Every lookup of an escaped
+    product counts one closure violation, as one failing evaluation would.
     """
     pts = list(samples) if samples is not None else default_samples(fam, denominator)
     exact = fam.mode == "exact"
@@ -925,7 +925,10 @@ def sampled_axiom_check(fam: ParametricFamily,
     live = (pairs >= 0) & (pairs.T >= 0)
     i, j = np.nonzero(live)                   # the pairs (x, y), row-major
     xs, v = _array(fam, coerced), values[pairs[i, j]]
-    got, ok = _solve_each(fam, xs[j], v)
+    joint = exact and fam.unit is not None    # M2's solves, then the classification's
+    got, ok = _solve_each(fam, *(_witnesses(fam, xs, values, (xs[j],), (v,)) if joint
+                                 else (xs[j], v)))
+    got, ok, solved = got[:i.size], ok[:i.size], ok[i.size:] if joint else None
     if exact:
         m1 = bool(live.all() and (pairs == pairs.T).all())   # interned ids
         m2 = bool(ok.all() and got.same(xs[i]).all())
@@ -952,6 +955,7 @@ def sampled_axiom_check(fam: ParametricFamily,
     closure += int(((s - nb) * (1 + nb)).sum() + 2 * (nb * escaped).sum())
     m3 = not ((nb > 0) & (escaped > 0)).any()
     seconds, ok = _second_products(fam, values, pairs)
+    keyed = _packed(seconds) if exact else None
     # where every pair is live and no second product escapes, every
     # quadruple and both its sides are live: nothing is masked
     masked = not (live.all() and ok.all())
@@ -963,8 +967,8 @@ def sampled_axiom_check(fam: ParametricFamily,
             live = quads & ok[keys]
             dead = int((quads & ~live).sum())
             closure, m3 = closure + 2 * dead, m3 and not dead
-        if exact:     # with no dead side, equal sides are equal parts
-            m3 = m3 and all((p == p.swapaxes(1, 2)).all() for p in _parts(seconds[keys]))
+        if exact:     # with no dead side, equal sides are equal keys
+            m3 = m3 and bool(((got := keyed[keys]) == got.swapaxes(1, 2)).all())
         else:
             got = seconds[keys]
             if masked:
@@ -976,7 +980,7 @@ def sampled_axiom_check(fam: ParametricFamily,
             worst = max(worst, top)
             m3 = m3 and top <= FLOAT_TOL
 
-    verdict = None if fam.unit is None else _classify(fam, pts, xs, pairs, values)
+    verdict = None if fam.unit is None else _classify(fam, pts, xs, pairs, values, solved)
     return SampleReport(fam.id, len(pts), m1, m2, m3,
                         None if exact else worst, closure, verdict)
 
@@ -991,8 +995,8 @@ def sampled_associativity(fam: ParametricFamily,
     pts, pairs, values = _pair_table(
         fam, samples if samples is not None else default_samples(fam, 8))
     vals = _array(fam, [*values, *pts])
-    seen = _intern(vals)                      # sid: where in vals each sample first is
-    sid = np.unique(seen, return_index=True)[1][seen[len(values):]]
+    seen, first = _intern(vals)
+    sid = first[seen[len(values):]]           # where in vals each sample first is
     w = len(vals)
     a, b, c = np.nonzero((pairs[:, :, None] >= 0) & (pairs[None, :, :] >= 0))
     keys, inv = np.unique(np.concatenate((pairs[a, b] * w + sid[c],
@@ -1057,7 +1061,7 @@ def _totality(shape: Shape, e: Fraction) -> tuple[bool, bool, bool]:
     if alpha is None:
         squares = Interval(iv.lo ** 2, None if iv.hi is None else iv.hi ** 2,
                            iv.lo_open, iv.hi_open)
-        return tuple(_within(_affine(src, s, 0), iv) for src, s in
+        return tuple(_within(_affine(src, s), iv) for src, s in
                      ((iv, 1 / eps), (_reciprocal(iv), eps), (squares, 1 / eps)))
     maps = ((1 / alpha, -beta / alpha - eps), (-1, (eps - beta) / alpha), (2, -eps))
     lattice = iv.integral and (iv.lo is None or iv.lo != iv.hi)
@@ -1077,19 +1081,30 @@ def classify_family(fam: ParametricFamily,
     return _classify(fam, pts, _array(fam, coerced), pairs, values)
 
 
+def _witnesses(fam: ParametricFamily, xs, values, a=(), b=()) -> tuple:
+    """The arrays, of _array's kind, of the solves x op a = b: those of a
+    and b, then the witnesses x op e = x, x op x = e and x op e = v of
+    samples x and products v, over one np.full column of the unit e."""
+    s, u, e = len(xs), len(values), fam.unit
+    if fam.mode == "float":
+        es = np.full(max(s, u), e, dtype=float)
+    else:
+        es = _Rationals(*(np.full(max(s, u), p, object if abs(p) >> 63 else np.int64)
+                          for p in _parts(e)), max(abs(e.numerator), e.denominator))
+    return _joined(*a, es[:s], xs, es[:u]), _joined(*b, xs, es[:s], values)
+
+
 def _classify(fam: ParametricFamily, pts: list, xs, pairs: np.ndarray,
-              values) -> FamilyClassification:
+              values, solved: Optional[np.ndarray] = None) -> FamilyClassification:
     """classify_family on the pair table of pts, whose samples are the
     array xs: the monoid witness of pair (x, y) solves theta op e = x op y,
     once per distinct product, and is None where x op y escapes the
-    carrier.  Each kind of solve takes one _solve_each call, and a witness
-    that exists reads True.  Float shapes are judged by their witnesses
-    alone."""
-    e = fam.unit
-    s, u = len(xs), len(values)
-    total = _totality(fam.shape, e) if fam.mode == "exact" else (None, None, None)
-    es = _repeated(fam, e, max(s, u))
-    solved = _solve_each(fam, _joined(es[:s], xs, es[:u]), _joined(xs, es[:s], values))[1]
+    carrier.  solved is the mask of _witnesses' solves, all kinds joined;
+    without it they take one _solve_each call here.  A witness that exists
+    reads True.  Float shapes are judged by their witnesses alone."""
+    s = len(xs)
+    total = _totality(fam.shape, fam.unit) if fam.mode == "exact" else (None, None, None)
+    solved = _solve_each(fam, *_witnesses(fam, xs, values))[1] if solved is None else solved
     expansive, ev_exp = _flag_with_evidence(
         fam, "expansive", total[0], solved[:s], lambda k: f"a={pts[k]}")
     symmetric, ev_sym = _flag_with_evidence(
@@ -1116,7 +1131,7 @@ def monoid_formula_check(samples: Optional[Sequence[Fraction]] = None) -> bool:
     the formula, as 2 theta / (theta + 1) = 2xy / (x + y)."""
     fam = CATALOG["harmonic-(0,1]"]
     pts, pairs, z = _pair_table(fam, samples if samples is not None else default_samples(fam))
-    theta, ok = _solve_each(fam, _repeated(fam, fam.unit, len(z)), z)
+    theta, ok = _solve_each(fam, *_witnesses(fam, z[:0], z))     # no samples: theta alone
     x, y = (_exact(pts)[k] for k in np.divmod(np.arange(len(pts) ** 2), len(pts)))
     return bool((pairs >= 0).all() and ok.all()
                 and theta[pairs.ravel()].same((x * y / (x + y - x * y)).reduced()).all())

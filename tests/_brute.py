@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import count, permutations, product
 from typing import Optional
 
 
@@ -280,6 +280,18 @@ def brute_contains(iv, x):
         if x > iv.hi or (iv.hi_open and x == iv.hi):
             return False
     return True
+
+
+def brute_intern(v):
+    """The catalog's interning as it was before packed keys: ids of the
+    entries of v, a reduced rational array (num, den) or a float64 array,
+    equal entries sharing one, numbered in order of first appearance, keyed
+    by (num, den) pairs of Python ints or by (value, sign), so that -0.0
+    and 0.0 stay apart."""
+    keys = (list(zip(v.num.tolist(), v.den.tolist())) if hasattr(v, "num")
+            else [(x, math.copysign(1.0, x)) for x in v.tolist()])
+    first = dict(zip(dict.fromkeys(keys), count()))
+    return [first[k] for k in keys]
 
 
 # the catalog's flag helper as it was when it took one (description,

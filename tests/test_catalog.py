@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccmagma import catalog, cli, fixtures
 from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REALS,
@@ -27,8 +27,9 @@ from ccmagma.catalog import (CATALOG, INTEGERS, NATURALS0, NONNEG_REALS, POS_REA
                              sampled_associativity, sampled_axiom_check)
 from ccmagma.core import check_axioms
 
-from _brute import (brute_classify_family, brute_contains, brute_sampled_associativity,
-                    brute_sampled_axiom_check, brute_totality, mobius_maps_into)
+from _brute import (brute_classify_family, brute_contains, brute_intern,
+                    brute_sampled_associativity, brute_sampled_axiom_check, brute_totality,
+                    mobius_maps_into)
 
 F = Fraction
 H = CATALOG["harmonic-(0,1]"]
@@ -529,9 +530,11 @@ def _m3_keys(pairs):
 def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
     # at grid 8, one _products call makes the pair table; then M3 evaluates
     # each key it asks for once, in ascending order, _KEY_CHUNK keys per
-    # call; logsumexp-R made 19 calls when M3 took one batch per slice.  A
-    # _Merged shape evaluates only the keys p * u + q with p <= q, and 9
-    # calls for logsumexp-R when it evaluated all u^2 keys
+    # call; logsumexp-R made 19 calls when M3 took one batch per slice.
+    # Every catalog shape commutes, so it evaluates only the keys p * u + q
+    # with p <= q: 9 calls for logsumexp-R when it evaluated all u^2 keys.
+    # The 28 families make 59 calls, and made 60 when only the float shapes
+    # evaluated half their keys
     calls = []
 
     def counted(fam, ops, keys, u, products=catalog._products):
@@ -542,8 +545,8 @@ def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
     for fid, fam in sorted(CATALOG.items()):
         _, pairs, values = _pair_table(fam, default_samples(fam, 8))
         want, u = _m3_keys(pairs), len(values)
-        if isinstance(fam.shape, catalog._Merged):
-            want = {k for k in want if k // u <= k % u}
+        assert fam.shape.commutes, fid
+        want = {k for k in want if k // u <= k % u}
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(catalog, "_products", counted)
@@ -554,12 +557,14 @@ def test_m3_evaluates_its_keys_in_ascending_chunks(monkeypatch):
         assert (np.diff(got) > 0).all() and set(got.tolist()) == want, fid
         counts[fid] = len(calls)
     assert counts["logsumexp-R"] == 5         # 1 + ceil(171 * 172 / 2 keys / 4096)
-    assert sum(counts.values()) == 60
+    assert sum(counts.values()) == 59
 
 
 def test_a_check_with_a_unit_solves_in_two_batches(monkeypatch):
-    # M2's solves, then the classification's expansive, symmetric and theta
-    # solves joined in one batch; four batches when each kind took its own
+    # an exact family: M2's solves and the classification's expansive,
+    # symmetric and theta solves, in that order, in one batch; a float
+    # family: M2's solves, then the classification's joined in a second
+    # batch.  Four batches when each kind took its own
     calls = []
 
     def counted(fam, a, b, solve_each=catalog._solve_each):
@@ -573,7 +578,8 @@ def test_a_check_with_a_unit_solves_in_two_batches(monkeypatch):
         pts, pairs, values = _pair_table(fam, default_samples(fam, 8))
         sampled_axiom_check(fam, pts)
         live = (pairs >= 0) & (pairs.T >= 0)
-        assert calls == [int(live.sum()), 2 * len(pts) + len(values)], fam.id
+        batches = [int(live.sum()), 2 * len(pts) + len(values)]
+        assert calls == ([sum(batches)] if fam.mode == "exact" else batches), fam.id
     assert len(units) == 19
 
 
@@ -1384,6 +1390,76 @@ class TestRationalArrays:
         assert fallbacks == 18
 
 
+class TestPackedKeys:
+    """_intern's packed keys against the dict of (num, den) or (value, sign)
+    pairs, and M3's compare of packed keys against num and den."""
+
+    @STORAGES
+    def test_rational_ids_match_the_dict_oracle(self, dtype, bits):
+        # parts at 2**31 - 1 pack on int64, parts at 2**31 (or wider) and
+        # object arrays on Python ints; the carried bound, exact or unknown,
+        # decides first
+        rng = random.Random(37)
+        parts = (1, 2, 3, 7, 2 ** 16 + 1, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** bits - 1)
+        small = [F(sign * n, d) for sign in (-1, 0, 1) for n in parts[:6] for d in parts[:6]]
+        packed = 0
+        for trial in range(300):
+            # first every small value at once, then pools sharing parts
+            pool = small if trial == 0 else [
+                F(rng.choice((-1, 0, 1)) * rng.choice(parts), rng.choice(parts))
+                for _ in range(rng.randint(1, 8))]
+            v = _stored([rng.choice(pool) for _ in range(rng.randint(0, 40))] + pool, dtype)
+            if rng.random() < 0.5:
+                v.bound = max(map(abs, v.num.tolist() + v.den.tolist()), default=0)
+            want = brute_intern(v)
+            ids, first = catalog._intern(v)
+            assert ids.dtype == first.dtype == np.intp
+            assert ids.tolist() == want, list(v)
+            assert first.tolist() == [want.index(k) for k in range(len(set(want)))]
+            packed += catalog._packed(v).dtype == np.int64
+        assert (packed > 30) is (dtype is np.int64) and packed < 300
+
+    def test_float_ids_match_the_dict_oracle(self):
+        # signed zeros, subnormals, the largest floats and infinities; nan
+        # never reaches _intern, which takes values inside the carrier
+        rng = random.Random(41)
+        pool = [x for x in SPECIAL_FLOATS if not math.isnan(x)] + [1.0, -1.0, 0.1, 1e-310]
+        for trial in range(300):
+            v = np.array([rng.choice(pool) for _ in range(rng.randint(0, 40))], dtype=float)
+            ids, first = catalog._intern(v)
+            want = brute_intern(v)
+            assert ids.tolist() == want, v
+            assert first.tolist() == [want.index(k) for k in range(len(set(want)))]
+
+    def test_packed_m3_compare_matches_num_and_den(self, monkeypatch):
+        # masked blocks where a pair of samples escapes, and unit fractions,
+        # whose unequal sides differ in denominators alone: packed keys are
+        # equal exactly where num and den both are, and the reports equal
+        # those of keys made on Python ints
+        cases = [(NON_CLOSED[0], default_samples(NON_CLOSED[0], 4)),
+                 (NON_CLOSED[1], default_samples(NON_CLOSED[1], 4)),
+                 (UNIT_FRACTIONS, [F(1, k) for k in range(1, 7)])]
+        blocks = 0
+        for fam, pts in cases:
+            _, pairs, values = _pair_table(fam, pts)
+            seconds, _ = catalog._second_products(fam, values, pairs)
+            keyed = catalog._packed(seconds)
+            assert keyed.dtype == np.int64, fam.id
+            for keys, quads in catalog._quadruples(pairs, len(values)):
+                keys = np.where(quads, keys, 0)
+                g, n, d = keyed[keys], seconds.num[keys], seconds.den[keys]
+                both = (n == n.swapaxes(1, 2)) & (d == d.swapaxes(1, 2))
+                assert ((g == g.swapaxes(1, 2)) == both).all(), fam.id
+                blocks += bool((~quads).any())
+        assert blocks >= 2
+        want = [sampled_axiom_check(fam, pts) for fam, pts in cases]
+        packed = catalog._packed
+        monkeypatch.setattr(catalog, "_packed", lambda v: packed(
+            _Rationals(v.num.astype(object), v.den.astype(object), v.bound)))
+        assert [sampled_axiom_check(fam, pts) for fam, pts in cases] == want
+        assert not want[-1].m3_ok
+
+
 def _elementwise(x):
     """The entries of an evaluate_raw argument: a rational array entry by
     entry, a scalar as itself."""
@@ -1422,7 +1498,7 @@ def test_exact_families_reach_evaluate_raw_once_per_product(monkeypatch):
         assert len(set(later)) == len(later), fam.id
         assert {x for pair in later for x in pair} <= products[fam.id], fam.id
         total += len(calls[0]) + len(later)
-    assert total == 31_922
+    assert total == 17_494      # 31,922 when every product of products was evaluated
 
 
 def test_rational_path_memory_is_sliced():
@@ -1634,6 +1710,71 @@ class TestMergedJoins:
         assert len(mirrored) >= 4 * 15 + 1 and not mirrored[-1]
 
 
+# the catalog's exact shapes, and one of each kind whose parameters pass 2**31
+COMMUTING_EXACT_SHAPES = list(dict.fromkeys(
+    [fam.shape for fam in CATALOG.values() if fam.mode == "exact"]
+    + [AffineFamily(F(2 ** 33, 7), F(-2 ** 40, 3), REALS),
+       HarmonicFamily(F(2 ** 35, 3), POS_REALS),
+       ProbSumFamily(F(-1, 2 ** 33), Interval(0, 1, hi_open=True))]))
+
+# parts near 2**15 and 2**30, at and either side of 2**31, near 2**63 and beyond int64
+_EDGE_PARTS = (1, 2, 3, 2 ** 15 + 1, 2 ** 30 + 3, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1,
+               2 ** 32 + 5, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 3)
+PARTS = st.one_of(st.sampled_from(_EDGE_PARTS), st.integers(1, 2 ** 31 + 2),
+                  st.integers(1, 2 ** 70))
+
+
+@st.composite
+def rational_arrays(draw, size):
+    """A rational array of size entries: signed numerators, int64 while
+    every part fits (object if drawn so), and a bound that is exact or None."""
+    nums = [draw(st.sampled_from((-1, 0, 1))) * draw(PARTS) for _ in range(size)]
+    dens = [draw(PARTS) for _ in range(size)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        nums[0] = -2 ** 63
+    wide = any(not -2 ** 63 <= p < 2 ** 63 for p in nums + dens)
+    dtype = object if wide or draw(st.booleans()) else np.int64
+    bound = draw(st.sampled_from((None, max(map(abs, nums + dens)))))
+    return _Rationals(np.array(nums, dtype=dtype), np.array(dens, dtype=dtype), bound)
+
+
+def _evaluated(shape, x, y):
+    """num, den, bound and dtypes of shape.evaluate_raw(x, y), or what it raises."""
+    try:
+        got = shape.evaluate_raw(x, y)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return got.num.tolist(), got.den.tolist(), got.bound, got.num.dtype, got.den.dtype
+
+
+class TestCommutingExactShapes:
+    """The premise of evaluating an exact shape's products of products once
+    per unordered pair: evaluate_raw(x, y) and evaluate_raw(y, x) give the
+    same parts, the same carried bound and the same int64/object choice."""
+
+    def test_every_commuting_shape_is_marked(self):
+        kinds = {type(shape) for shape in COMMUTING_EXACT_SHAPES}
+        assert kinds == {AffineFamily, HarmonicFamily, ProbSumFamily, TanhSumFamily}
+        assert all(shape.commutes for shape in COMMUTING_EXACT_SHAPES)
+        assert not any(hasattr(shape, "commutes") for shape in (TrapShape(frozenset()),
+                                                              SkewShape()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(COMMUTING_EXACT_SHAPES), st.integers(1, 6).flatmap(
+        lambda n: st.tuples(rational_arrays(n), rational_arrays(n))))
+    # 2 x y grouped as (2 x) y: 2 x passes 2**31 and y = 0 does not, so the
+    # product took Python ints on one side and int64 on the other
+    @example(HarmonicFamily(2, POS_REALS),
+             (_Rationals(np.array([2 ** 31 - 1]), np.array([1]), 2 ** 31 - 1),
+              _Rationals(np.array([0]), np.array([1]), 1)))
+    @example(ProbSumFamily(2, POS_REALS),
+             (_Rationals(np.array([2 ** 31 - 1]), np.array([1]), 2 ** 31 - 1),
+              _Rationals(np.array([0]), np.array([1]), 1)))
+    def test_evaluate_raw_is_symmetric_in_parts_bound_and_dtype(self, shape, xy):
+        x, y = xy
+        assert _evaluated(shape, x, y) == _evaluated(shape, y, x)
+
+
 # (_BLOCK_CELLS, _KEY_CHUNK): blocks of one row of quadruples and calls of
 # one or seven keys, and blocks of 2 to 11 rows at 3 to 6 samples
 EDGE_CAPS = [(1, 1), (7, 7), (300, 7)]
@@ -1756,6 +1897,39 @@ def test_exact_catalog_commands_make_no_checked_evaluate_calls(monkeypatch):
         cli.main(["catalog", "--family", fid, "--samples", "8"])
         assert len(calls) - before == (2 if fid == "harmonic-(0,1]" else 0), fid
     assert len(calls) == 2
+
+
+def test_catalog_commands_take_a_fixed_number_of_batches(monkeypatch):
+    # per `catalog --samples 8` command: one pair table (one _products and
+    # one _intern call), then M3's _KEY_CHUNK calls of _products; one solve
+    # batch for an exact family, with or without a unit, and for a float
+    # family without one; two for a float family with a unit, whose M2
+    # back-join runs between them.  harmonic-(0,1] adds the pair table and
+    # the solve of monoid_formula_check
+    calls = []
+    for name in ("_solve_each", "_products", "_intern"):
+        def counted(*args, name=name, real=getattr(catalog, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(catalog, name, counted)
+    got = {}
+    for fid, fam in CATALOG.items():
+        calls.clear()
+        assert cli.main(["catalog", "--family", fid, "--samples", "8"]) == 0, fid
+        got[fid] = {name: calls.count(name) for name in ("_solve_each", "_products", "_intern")}
+    kinds = {}
+    for fid, fam in CATALOG.items():
+        monoid = fid == "harmonic-(0,1]"
+        solves = 2 if fam.mode == "float" and fam.unit is not None else 1
+        kinds.setdefault((fam.mode, fam.unit is not None), []).append(fid)
+        assert got[fid]["_solve_each"] == solves + monoid, fid
+        assert got[fid]["_intern"] == 1 + monoid, fid
+        assert got[fid]["_products"] >= 2 + monoid, fid
+    assert {k: len(v) for k, v in kinds.items()} == {
+        ("exact", True): 16, ("exact", False): 8, ("float", True): 3, ("float", False): 1}
+    assert sum(g["_solve_each"] for g in got.values()) == 16 + 8 + 2 * 3 + 1 + 1
+    assert sum(g["_products"] for g in got.values()) == 60
+    assert got["logsumexp-R"]["_products"] == 5
 
 
 class TestClassification:
